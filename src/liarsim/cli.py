@@ -40,9 +40,9 @@ PRECISION_ENV = "LIARSIM_PRECISION"
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved for verification
-    # failures here, so downgrade usage problems to the domain error code.
+    # failures here, so downgrade usage problems to the domain error code
+    # and report them in one line, like every other input error.
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -93,18 +93,23 @@ def parse_start(text: str) -> tuple[int, bool]:
 
 
 def parse_time_scale(text: str) -> float:
-    """Output time units per reasoning step: a float, ``pi`` or ``pi/<d>``."""
+    """Output time units per reasoning step: a finite positive float, ``pi``
+    or ``pi/<d>``."""
     t = text.strip().lower()
     try:
         if t == "pi":
-            return math.pi
-        if t.startswith("pi/"):
-            return math.pi / float(t[3:])
-        return float(t)
+            scale = math.pi
+        elif t.startswith("pi/"):
+            scale = math.pi / float(t[3:])
+        else:
+            scale = float(t)
     except (ValueError, ZeroDivisionError):
+        scale = math.nan
+    if not 0 < scale < math.inf:
         raise argparse.ArgumentTypeError(
-            f"expected a number, pi or pi/<d>, got {text!r}"
-        ) from None
+            f"expected a finite positive number, pi or pi/<d>, got {text!r}"
+        )
+    return scale
 
 
 def parse_sentences(text: str) -> tuple[int, ...]:

@@ -122,18 +122,35 @@ def config_to_json(config: Configuration) -> str:
     )
 
 
+def _is_json_int(value: object) -> bool:
+    # JSON true/false parse to bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_json(text: str) -> Configuration:
-    """Parse and validate the interchange form produced by config_to_json."""
+    """Parse and validate the interchange form produced by config_to_json.
+
+    Strict: ``m`` and every referent must be JSON integers and every
+    ``negating`` entry a JSON boolean; nothing is coerced.
+    """
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise OutOfRange("malformed configuration object: expected a JSON object")
     try:
-        cfg = Configuration(
-            m=int(obj["m"]),
-            referent=tuple(int(r) for r in obj["referent"]),
-            negating=tuple(bool(b) for b in obj["negating"]),
+        m, referent, negating = obj["m"], obj["referent"], obj["negating"]
+    except KeyError as exc:
+        raise OutOfRange(f"malformed configuration object: missing {exc}") from exc
+    if not _is_json_int(m):
+        raise OutOfRange(f"malformed configuration object: m must be an integer, got {m!r}")
+    if not (isinstance(referent, list) and all(_is_json_int(r) for r in referent)):
+        raise OutOfRange(
+            "malformed configuration object: referent must be a list of integers"
         )
-    except (KeyError, TypeError) as exc:
-        raise OutOfRange(f"malformed configuration object: {exc}") from exc
-    return validate(cfg)
+    if not (isinstance(negating, list) and all(isinstance(b, bool) for b in negating)):
+        raise OutOfRange(
+            "malformed configuration object: negating must be a list of booleans"
+        )
+    return validate(Configuration(m, tuple(referent), tuple(negating)))
 
 
 def one_liar() -> Configuration:

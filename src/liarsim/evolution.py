@@ -8,6 +8,15 @@ diagonal in the discrete Fourier frame, so the spectral data is written
 down analytically from the 2m-th roots of unity; no iterative eigensolver
 is involved and repeated builds are bit-identical.
 
+Traces and propagation run in cycle positions 0..2m-1.  U(tau) is
+circulant, so ``propagate`` applies its first column as a circular
+convolution, and after the start hypothesis is collapsed every trace
+probability is the closed-form Fejer kernel of tau minus the target's
+displacement (see ``probability_trace``).  Integer times take the exact
+permutation route.  The dense spectral frame (``fourier_frame``,
+``propagator``, ``hamiltonian``) is built only on demand and is kept as the
+verification oracle for small m.
+
 Branch convention, which pins every continuous-time quantity:
 U(tau) = exp(tau * log U_D) with the principal logarithm taken
 eigenvalue-wise, eigenphases in (-pi, pi] and the phase of -1 mapped to +pi.
@@ -21,19 +30,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Configuration, validate
-from .errors import OutOfRange, SupportOutsideSubspace, ZeroProbabilityMeasurement
+from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
-from .measurement import (
-    collapse,
-    hypothesis_projector,
-    projection_probability,
-)
-from .statespace import SparseState, TensorIndex, build_initial_state, cycle_states
+from .statespace import SparseState, TensorIndex, cycle_states
+
+# Times per block of probability_trace's kernel evaluation.  Bounding the
+# temporaries keeps them from fragmenting the heap that the rows fill.
+_TRACE_BLOCK = 1024
 
 
 def principal_phases(size: int) -> tuple[float, ...]:
@@ -60,8 +68,9 @@ class SubspaceEvolution:
     """Spectral description of one reasoning step on the cycle basis.
 
     ``basis`` lists the 2m cycle states in step order; ``step_perm[t]`` is
-    the basis position one step after position t.  ``fourier_frame`` and
-    ``eigenphases`` satisfy U_D = F diag(exp(i*theta)) F^dagger exactly.
+    the basis position one step after position t.  With the unitary frame
+    F = ``fourier_frame(size)``, ``eigenphases`` satisfy
+    U_D = F diag(exp(i*theta)) F^dagger exactly.
     """
 
     m: int
@@ -69,7 +78,12 @@ class SubspaceEvolution:
     basis: tuple[TensorIndex, ...]
     step_perm: tuple[int, ...]
     eigenphases: tuple[float, ...]
-    fourier_frame: np.ndarray
+    positions: dict[TensorIndex, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "positions", {idx: t for t, idx in enumerate(self.basis)}
+        )
 
     @property
     def size(self) -> int:
@@ -77,15 +91,15 @@ class SubspaceEvolution:
 
     def position(self, idx: TensorIndex) -> int:
         try:
-            return self.basis.index(tuple(idx))
-        except ValueError:
+            return self.positions[tuple(idx)]
+        except KeyError:
             raise SupportOutsideSubspace(
                 f"tuple {tuple(idx)} is not one of the {self.size} cycle states"
             ) from None
 
 
 def build_evolution(config: Configuration) -> SubspaceEvolution:
-    """Assemble basis, step permutation and analytic spectral frame."""
+    """Assemble basis, step permutation and analytic eigenphases."""
     config = validate(config)
     basis = cycle_states(config)
     size = len(basis)
@@ -95,7 +109,6 @@ def build_evolution(config: Configuration) -> SubspaceEvolution:
         basis=basis,
         step_perm=tuple((t + 1) % size for t in range(size)),
         eigenphases=principal_phases(size),
-        fourier_frame=fourier_frame(size),
     )
 
 
@@ -110,67 +123,68 @@ def step_matrix(ev: SubspaceEvolution) -> np.ndarray:
 def hamiltonian(ev: SubspaceEvolution) -> np.ndarray:
     """Generator H = i log U_D on the cycle basis; Hermitian, with
     eigenvalues -theta_k over the principal eigenphases."""
-    f = ev.fourier_frame
+    f = fourier_frame(ev.size)
     return f @ np.diag(-np.asarray(ev.eigenphases)) @ f.conj().T
 
 
 def propagator(ev: SubspaceEvolution, tau: float) -> np.ndarray:
-    """U(tau) = exp(tau * log U_D) on the cycle basis via the spectral frame."""
+    """U(tau) = exp(tau * log U_D) on the cycle basis via the dense spectral
+    frame; the reference that the circulant routes are checked against."""
     if not math.isfinite(tau):
         raise OutOfRange(f"evolution time must be finite, got {tau}")
-    f = ev.fourier_frame
+    f = fourier_frame(ev.size)
     phases = np.exp(1j * np.asarray(ev.eigenphases) * tau)
     return f @ np.diag(phases) @ f.conj().T
-
-
-def _coefficient_vector(ev: SubspaceEvolution, state: SparseState) -> np.ndarray:
-    positions = {idx: t for t, idx in enumerate(ev.basis)}
-    vec = np.zeros(ev.size, dtype=complex)
-    for idx, a in state.amplitudes.items():
-        if idx not in positions:
-            raise SupportOutsideSubspace(
-                f"state has support on {idx}, outside the evolution subspace"
-            )
-        vec[positions[idx]] = a
-    return vec
-
-
-def _state_from_vector(ev: SubspaceEvolution, vec: np.ndarray) -> SparseState:
-    return SparseState(
-        ev.m, ev.n, {idx: complex(vec[t]) for t, idx in enumerate(ev.basis)}
-    )
 
 
 def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseState:
     """Evolve ``state`` for ``tau`` reasoning steps (tau may be fractional).
 
     An integral tau takes the exact permutation route, where the branch
-    convention makes U(tau) a plain power of the step matrix; fractional
-    times go through the spectral frame.
+    convention makes U(tau) a plain power of the step matrix.  Otherwise
+    U(tau) is circulant with first column c = ifft(exp(i*theta*tau)) over
+    the principal eigenphases, and it acts on the position vector v as the
+    circular convolution c * v = ifft(exp(i*theta*tau) fft(v)).
     """
     if not math.isfinite(tau):
         raise OutOfRange(f"evolution time must be finite, got {tau}")
     if tau == int(tau):
         return apply_steps(ev, state, int(tau))
-    vec = _coefficient_vector(ev, state)
-    f = ev.fourier_frame
+    vec = np.zeros(ev.size, dtype=complex)
+    for idx, a in state.amplitudes.items():
+        vec[ev.position(idx)] = a
     phases = np.exp(1j * np.asarray(ev.eigenphases) * tau)
-    out = f @ (phases * (f.conj().T @ vec))
-    return _state_from_vector(ev, out)
+    out = np.fft.ifft(phases * np.fft.fft(vec))
+    return SparseState(
+        ev.m, ev.n, {idx: complex(out[t]) for t, idx in enumerate(ev.basis)}
+    )
 
 
 def apply_steps(ev: SubspaceEvolution, state: SparseState, count: int = 1) -> SparseState:
     """Apply the step permutation ``count`` times, exactly (no floats)."""
-    positions = {idx: t for t, idx in enumerate(ev.basis)}
     shift = count % ev.size
     moved: dict[TensorIndex, complex] = {}
     for idx, a in state.amplitudes.items():
-        if idx not in positions:
-            raise SupportOutsideSubspace(
-                f"state has support on {idx}, outside the evolution subspace"
-            )
-        moved[ev.basis[(positions[idx] + shift) % ev.size]] = a
+        moved[ev.basis[(ev.position(idx) + shift) % ev.size]] = a
     return SparseState(ev.m, ev.n, moved)
+
+
+def _cycle_kernel(tau: np.ndarray, d: np.ndarray, size: int) -> np.ndarray:
+    """|U(tau)[d, 0]|^2 on the size-cycle for every tau (rows) and
+    displacement d (columns): the Fejer kernel of x = tau - d off the
+    integers, and the exact indicator of x mod size == 0 on them."""
+    # Reduce x exactly before any multiplication by pi: tau = whole + frac
+    # with |frac| <= 1/2 (both exact), and the whole steps of x are reduced
+    # mod size into [-size/2, size/2) in integer arithmetic.
+    half = size // 2
+    whole = np.round(tau)
+    frac = tau - whole
+    steps = np.mod(np.mod(whole, size)[:, None] - d + half, size) - half
+    p = (steps == 0).astype(float)
+    off = frac != 0
+    y = frac[off, None] + steps[off]
+    p[off] = (np.sin(np.pi * frac[off, None]) / (size * np.sin(np.pi * y / size))) ** 2
+    return p
 
 
 @dataclass(frozen=True)
@@ -199,6 +213,14 @@ def probability_trace(
     each requested time.  Times are in output units of ``time_scale`` per
     reasoning step, i.e. the evolution parameter is t / time_scale.  Rows
     are ordered time-major, sentence-minor (ascending).
+
+    The collapse leaves one cycle position, and each hypothesis sits at its
+    own position (no degeneracy), d steps along the reasoning walk from the
+    start.  With N = 2m and w the squared norm of the collapsed state, its
+    probability at time tau is therefore w times the Fejer kernel
+    sin^2(pi x) / (N^2 sin^2(pi x / N)) of x = tau - d, evaluated in closed
+    form, vectorized over times and hypotheses.  Integral tau takes the
+    exact route instead: w when (tau - d) mod N == 0, else 0.
     """
     config = validate(config)
     m = config.m
@@ -210,38 +232,55 @@ def probability_trace(
         for i in sentences:
             if not 1 <= i <= m:
                 raise OutOfRange(f"sentence {i} outside 1..{m}")
-    if time_scale <= 0:
-        raise OutOfRange(f"time scale must be positive, got {time_scale}")
+    if not 0 < time_scale < math.inf:
+        raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
+    walk = reasoning_cycle(config)
+    if not 1 <= start_sentence <= m:
+        raise OutOfRange(f"sentence {start_sentence} outside 1..{m}")
 
-    ev = build_evolution(config)
-    psi0 = build_initial_state(config)
-    start_proj = hypothesis_projector(start_sentence, start_value, m)
-    psi, probability = collapse(psi0, start_proj, renormalize=renormalize)
-    if probability == 0.0:
-        raise ZeroProbabilityMeasurement(
-            f"measuring sentence {start_sentence} "
-            f"{'true' if start_value else 'false'} has probability 0"
-        )
+    size = 2 * m
+    step = {(s.sentence, s.value): s.step for s in walk.steps}
+    origin = step[(start_sentence, bool(start_value))]
+    # Displacements of the traced hypotheses: all "true" columns, then all
+    # "false" columns.
+    d = np.array([step[(i, v)] - origin for v in (True, False) for i in sentences])
+    # The collapse weight w, in the float operations of the exact route: the
+    # kept term has the initial amplitude 1/sqrt(N); renormalizing divides
+    # it by its norm sqrt(w) before the probability squares it again.
+    amp = 1.0 / math.sqrt(size)
+    weight = amp**2
+    if renormalize:
+        weight = (amp / math.sqrt(weight)) ** 2
 
-    projs = {
-        i: (hypothesis_projector(i, True, m), hypothesis_projector(i, False, m))
-        for i in sentences
-    }
+    t_out = np.asarray(times, dtype=float)
+    with np.errstate(over="ignore"):
+        tau = t_out / time_scale
+    finite = np.isfinite(tau)
+    if not finite.all():
+        bad = float(tau[~finite][0])
+        raise OutOfRange(f"evolution time must be finite, got {bad}")
+    count = len(sentences)
     rows = []
-    for t in times:
-        phi = propagate(ev, psi, t / time_scale)
-        for i in sentences:
-            p_true = projection_probability(phi, projs[i][0])
-            p_false = projection_probability(phi, projs[i][1])
-            rows.append(TraceRow(float(t), i, p_true, p_false))
+    for lo in range(0, len(tau), _TRACE_BLOCK):
+        block = slice(lo, lo + _TRACE_BLOCK)
+        p = weight * _cycle_kernel(tau[block], d, size)
+        for t, p_true, p_false in zip(
+            t_out[block].tolist(), p[:, :count].tolist(), p[:, count:].tolist()
+        ):
+            rows.extend(map(TraceRow, [t] * count, sentences, p_true, p_false))
     return tuple(rows)
 
 
 def time_grid(t_max: float, dt: float) -> tuple[float, ...]:
     """Deterministic grid 0, dt, 2*dt, ... up to and including t_max."""
-    if dt <= 0 or t_max < 0:
-        raise OutOfRange(f"need dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}")
-    count = int(math.floor(t_max / dt + 1e-9))
+    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
+        raise OutOfRange(
+            f"need finite dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}"
+        )
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        raise OutOfRange(f"t_max/dt must be finite, got t_max={t_max}, dt={dt}")
+    count = int(math.floor(steps + 1e-9))
     return tuple(j * dt for j in range(count + 1))
 
 

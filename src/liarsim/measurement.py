@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from .errors import OutOfRange
 from .statespace import SparseState
 
-RawProjection = tuple[SparseState, float]
-
 
 @dataclass(frozen=True)
 class ProjectorSpec:
@@ -93,7 +91,7 @@ def projection_probability(state: SparseState, p: ProjectorSpec) -> float:
 
 def collapse(
     state: SparseState, p: ProjectorSpec, renormalize: bool = True
-) -> RawProjection:
+) -> tuple[SparseState, float]:
     """Project ``state`` and report the outcome probability.
 
     The probability is the squared norm of the raw projection.  By default

@@ -42,8 +42,6 @@ from .inference import reasoning_cycle
 TensorIndex = tuple[int, ...]
 EmbeddedIndex = int
 
-NORM_TOLERANCE = 1e-10
-
 
 def check_tensor_index(idx: TensorIndex, n: int) -> None:
     for j, e in enumerate(idx, start=1):

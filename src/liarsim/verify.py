@@ -33,6 +33,7 @@ from .errors import OutOfRange
 from .evolution import (
     apply_steps,
     build_evolution,
+    fourier_frame,
     hamiltonian,
     principal_phases,
     propagate,
@@ -324,7 +325,7 @@ def _check_branch_independence(m_values) -> CheckResult:
             -theta if abs(abs(theta) - np.pi) < 1e-12 else theta
             for theta in principal_phases(size)
         )
-        f = ev.fourier_frame
+        f = fourier_frame(size)
         u_d = step_matrix(ev)
         power = np.eye(size)
         for t in range(0, size + 1):

@@ -189,6 +189,26 @@ def test_trace_bad_start(capsys):
     assert main(["trace", "--config", "one-liar", "--start", "9:T", "--t-max", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--time-scale", "inf"],
+        ["--t-max", "2", "--time-scale", "inf"],
+        ["--time-scale", "nan"],
+        ["--time-scale", "-1"],
+        ["--t-max", "1e308", "--dt", "1e-308"],
+        ["--t-max", "inf"],
+        ["--dt", "nan"],
+    ],
+)
+def test_trace_rejects_non_finite_time_parameters(extra, capsys):
+    assert main(["trace", "--config", "one-liar", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and "error" in captured.err
+
+
 def test_argument_parsers():
     assert parse_start("3:F") == (3, False)
     assert parse_start("1:t") == (1, True)
@@ -201,8 +221,9 @@ def test_argument_parsers():
     for bad in ("x", "1-2", "1:"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_start(bad)
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_time_scale("pie")
+    for bad in ("pie", "inf", "nan", "0", "-2", "pi/0", "pi/-1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_time_scale(bad)
     with pytest.raises(argparse.ArgumentTypeError):
         parse_sentences("1;2")
 

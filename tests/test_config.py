@@ -106,6 +106,26 @@ def test_json_rejects_malformed_and_invalid():
         config_from_json('{"m": 2, "referent": [1, 2], "negating": [true, false]}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 1, "referent": [1], "negating": ["false"]}',
+        '{"m": 1, "referent": [1], "negating": [1]}',
+        '{"m": 1.9, "referent": [1], "negating": [true]}',
+        '{"m": true, "referent": [1], "negating": [true]}',
+        '{"m": "1", "referent": [1], "negating": [true]}',
+        '{"m": 2, "referent": [2.0, 1], "negating": [true, false]}',
+        '{"m": 2, "referent": [true, 1], "negating": [true, false]}',
+        '{"m": 2, "referent": "21", "negating": [true, false]}',
+        '{"m": 1, "referent": [1], "negating": true}',
+        '[1, [1], [true]]',
+    ],
+)
+def test_json_requires_exact_types(text):
+    with pytest.raises(OutOfRange):
+        config_from_json(text)
+
+
 def test_named_configurations():
     assert one_liar() == Configuration(1, (1,), (True,))
     eight = eight_liar()

@@ -10,13 +10,17 @@ from liarsim import (
     apply_steps,
     build_evolution,
     build_initial_state,
+    collapse,
     cycle_states,
     eight_liar,
+    enumerate_paradoxical,
     fourier_frame,
     hamiltonian,
+    hypothesis_projector,
     one_liar,
     principal_phases,
     probability_trace,
+    projection_probability,
     propagate,
     propagator,
     simple_liar,
@@ -103,15 +107,21 @@ def test_one_liar_spectrum():
 
 
 def test_propagate_matches_propagator():
-    config = simple_liar(3)
-    ev = build_evolution(config)
-    state = build_initial_state(config)
-    vec = np.array([state.amplitude(idx) for idx in ev.basis])
-    for tau in (0.0, 0.5, 1.7, 6.0):
-        moved = propagate(ev, state, tau)
-        dense = propagator(ev, tau) @ vec
-        got = np.array([moved.amplitude(idx) for idx in ev.basis])
-        assert np.abs(got - dense).max() < 1e-12
+    # The equiponderate state is stationary, so a random state is needed to
+    # pin the direction of the circular convolution.
+    rng = np.random.default_rng(5)
+    for config in (simple_liar(3), eight_liar()):
+        ev = build_evolution(config)
+        uniform = build_initial_state(config)
+        coeffs = rng.normal(size=ev.size) + 1j * rng.normal(size=ev.size)
+        skewed = SparseState(config.m, 2 * config.m, dict(zip(ev.basis, coeffs)))
+        for state in (uniform, skewed):
+            vec = np.array([state.amplitude(idx) for idx in ev.basis])
+            for tau in (0.0, 0.5, 1.7, 6.0, -2.25):
+                moved = propagate(ev, state, tau)
+                dense = propagator(ev, tau) @ vec
+                got = np.array([moved.amplitude(idx) for idx in ev.basis])
+                assert np.abs(got - dense).max() < 1e-12
 
 
 def test_propagate_rejects_foreign_support():
@@ -210,13 +220,75 @@ def test_trace_additivity_of_hypothesis_probabilities():
         assert r.p_true + r.p_false <= 1.0 + 1e-12
 
 
+ORACLE_CONFIGS = (
+    [c for m in (1, 2, 3) for c in enumerate_paradoxical(m)]
+    + [eight_liar()]
+    + [simple_liar(m) for m in range(5, 11)]
+)
+# t = 9.1 at scale 1.3 gives tau = 6.999999999999999, one ulp below 7.
+ORACLE_TIMES = (0.0, 0.3, 1.0, 1.3, 2.6, 3.9, 4.75, 9.1, 13.0, 17.3, -3.25)
+
+
+@pytest.mark.parametrize(
+    "config", ORACLE_CONFIGS, ids=lambda c: f"m{c.m}-{c.referent}-{c.negating}"
+)
+def test_trace_matches_dense_propagator(config):
+    """The closed-form kernel against the dense spectral route: off-integer
+    rows to 1e-10, integral rows exactly the exact-route value or 0.0."""
+    m = config.m
+    ev = build_evolution(config)
+    psi0 = build_initial_state(config)
+    targets = [(i, v) for i in range(1, m + 1) for v in (True, False)]
+    for scale in (1.0, 1.3, math.pi / 2):
+        for start in targets:
+            for renormalize in (True, False):
+                psi, _ = collapse(
+                    psi0, hypothesis_projector(*start, m), renormalize=renormalize
+                )
+                vec = np.array([psi.amplitude(idx) for idx in ev.basis])
+                rows = probability_trace(
+                    config, start, ORACLE_TIMES, time_scale=scale,
+                    renormalize=renormalize,
+                )
+                by = {(r.t, r.sentence): r for r in rows}
+                for t in ORACLE_TIMES:
+                    tau = t / scale
+                    if tau == int(tau):
+                        phi = apply_steps(ev, psi, int(tau))
+                    else:
+                        phi = SparseState(
+                            m, 2 * m, dict(zip(ev.basis, propagator(ev, tau) @ vec))
+                        )
+                    for i, v in targets:
+                        want = projection_probability(phi, hypothesis_projector(i, v, m))
+                        row = by[(t, i)]
+                        got = row.p_true if v else row.p_false
+                        if tau == int(tau):
+                            assert got == want, (scale, start, t, i, v)
+                        else:
+                            assert abs(got - want) <= 1e-10, (scale, start, t, i, v)
+
+
+def test_trace_is_the_same_across_kernel_blocks():
+    times = time_grid(300.0, 0.1)  # 3001 times: several kernel blocks
+    rows = probability_trace(eight_liar(), (2, False), times)
+    assert len(rows) == 8 * len(times)
+    for k in (0, 1023, 1024, 2047, 2048, 3000):
+        assert rows[8 * k : 8 * k + 8] == probability_trace(
+            eight_liar(), (2, False), [times[k]]
+        )
+
+
 def test_trace_validation_errors():
     with pytest.raises(OutOfRange):
         probability_trace(one_liar(), (2, True), (0.0,))
     with pytest.raises(OutOfRange):
         probability_trace(one_liar(), (1, True), (0.0,), sentences=(0,))
-    with pytest.raises(OutOfRange):
-        probability_trace(one_liar(), (1, True), (0.0,), time_scale=0.0)
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            probability_trace(one_liar(), (1, True), (0.0,), time_scale=scale)
+    with pytest.raises(OutOfRange, match="must be finite"):
+        probability_trace(one_liar(), (1, True), (0.0, 1e308), time_scale=1e-10)
 
 
 def test_time_grid():
@@ -228,6 +300,9 @@ def test_time_grid():
         time_grid(1.0, 0.0)
     with pytest.raises(OutOfRange):
         time_grid(-1.0, 0.5)
+    for t_max, dt in ((1e308, 1e-308), (math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf)):
+        with pytest.raises(OutOfRange):
+            time_grid(t_max, dt)
 
 
 def test_trace_csv_format():
