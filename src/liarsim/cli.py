@@ -14,6 +14,7 @@ the artifact alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .config import (
 )
 from .errors import LiarSimError, OutOfRange
 from .evolution import probability_trace, time_grid, trace_to_csv
-from .statespace import build_initial_state, state_to_json
+from .statespace import decimal_string, initial_state_terms, write_state_json
 from .verify import all_passed, run_verification
 
 DEFAULT_PRECISION = 12
@@ -134,24 +135,35 @@ def output_precision() -> int:
     return p
 
 
-def _write(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    # sys.stdout is looked up per call: in-process callers may redirect it.
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(path: str | None, text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def cmd_count(args) -> int:
-    print(count_paradoxical(args.m))
+    print(decimal_string(count_paradoxical(args.m)))
     return 0
 
 
 def cmd_state(args) -> int:
     config = resolve_config(args.config)
-    state = build_initial_state(config)
+    # The table and the ranks are computed and checked before the output
+    # is opened, so a failure leaves no partial file.
+    terms = initial_state_terms(config)
     manifest = RunManifest("state", (("config", args.config),))
-    _write(args.out, state_to_json(state, extra={"manifest": manifest.mapping()}) + "\n")
+    with _output(args.out) as out:
+        write_state_json(out, config.m, 2 * config.m, terms, {"manifest": manifest.mapping()})
+        out.write("\n")
     return 0
 
 
@@ -313,7 +325,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``liarsim state ... | head``): stop
+        # quietly, and point stdout at devnull so the interpreter's final
+        # flush cannot fail again (the SIGPIPE note in the ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except LiarSimError as exc:
         print(f"liarsim: error: {exc}", file=sys.stderr)
         return 1

@@ -26,21 +26,43 @@ per step, inserts the falsehood entry after the decrement reaches m, then
 continues down to 1.  Every sentence therefore traverses all 2m entries
 exactly once per cycle, so the 2m basis states produced by one reasoning
 cycle are pairwise distinct in every coordinate (no degeneracy).
+
+The same fact gives the ranks of the whole cycle from one of them.  Write
+w_i = n^(m-i) for the weight of sentence i and next(v) for the entry after v
+on C.  One step adds next(e_i) - e_i to every digit, and that difference is
+-1 except at the three values m, 2m and 1 (just one value, 1, when m = 1).
+Hence
+
+    kappa(t+1) = kappa(t) - (n^m - 1)/(n - 1)
+                 + sum over the exceptional entries e_i = v of
+                   (next(v) - v + 1) * w_i,
+
+where (n^m - 1)/(n - 1) is the sum of all weights.  A row holds each value
+at most once, so a step costs O(m) digit operations.  ``cycle_ranks``
+evaluates it in ``decimal``, whose integers print in linear time with no
+limit on their length.
 """
 
 from __future__ import annotations
 
+import decimal
+import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .config import Configuration, validate
+import numpy as np
+
+from .config import Configuration
 from .errors import OutOfRange
 from .inference import reasoning_cycle
 
 TensorIndex = tuple[int, ...]
 EmbeddedIndex = int
+# (entries, embedded index as decimal digits, re, im): one term of a state
+# document, as ``write_state_json`` takes it.
+Term = tuple[Sequence[int], str, float, float]
 
 
 def check_tensor_index(idx: TensorIndex, n: int) -> None:
@@ -59,6 +81,16 @@ def kappa(idx: TensorIndex, n: int | None = None) -> EmbeddedIndex:
     for e in idx:
         value = value * n + (e - 1)
     return value + 1
+
+
+def decimal_string(value: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    ``str(int)`` refuses integers of more than 4,300 digits by default
+    (``sys.int_info.default_max_str_digits``) and takes quadratic time;
+    ``decimal`` converts exactly with no such limit.
+    """
+    return str(decimal.Decimal(value))
 
 
 def kappa_inverse(e: EmbeddedIndex, m: int, n: int | None = None) -> TensorIndex:
@@ -87,23 +119,67 @@ def canonical_entry_cycle(m: int) -> tuple[int, ...]:
     )
 
 
-def cycle_states(config: Configuration) -> tuple[TensorIndex, ...]:
+def cycle_table(config: Configuration) -> np.ndarray:
     """The 2m product basis states visited by one reasoning cycle, in step
-    order, anchored at hypothesizing sentence 1 true.
+    order, anchored at hypothesizing sentence 1 true, as a (2m, m) array.
 
-    State t gives sentence i the entry C[(t - t_i) mod 2m], where t_i is the
-    step hypothesizing sentence i true.
+    Row t - 1 gives sentence i the entry C[(t - t_i) mod 2m], where t_i is
+    the step hypothesizing sentence i true.
     """
-    config = validate(config)
+    steps = reasoning_cycle(config).steps
     m = config.m
-    cyc = reasoning_cycle(config)
-    true_step = {s.sentence: s.step for s in cyc.steps if s.value}
-    entries = canonical_entry_cycle(m)
+    true_step = np.empty(m, dtype=np.int64)
+    for s in steps:
+        if s.value:
+            true_step[s.sentence - 1] = s.step
     period = 2 * m
-    return tuple(
-        tuple(entries[(t - true_step[i]) % period] for i in range(1, m + 1))
-        for t in range(1, period + 1)
-    )
+    offsets = np.subtract.outer(np.arange(1, period + 1), true_step)
+    offsets %= period
+    return np.asarray(canonical_entry_cycle(m), dtype=np.int32)[offsets]
+
+
+def cycle_states(config: Configuration) -> tuple[TensorIndex, ...]:
+    """The rows of ``cycle_table`` as tuples."""
+    return tuple(map(tuple, cycle_table(config).tolist()))
+
+
+def cycle_ranks(table: np.ndarray) -> list[str]:
+    """The exact ``kappa`` rank of every row of a cycle table, as decimal
+    strings, by the step recurrence in the module docstring.
+
+    ``table`` is (rows, m) with entries in 1..2m, each row one reasoning step
+    after the one before it, as ``cycle_table`` returns it.
+    """
+    rows, m = table.shape
+    n = 2 * m
+    if table.min() < 1 or table.max() > n:
+        raise OutOfRange(f"cycle table has an entry outside 1..{n}")
+    cycle = np.asarray(canonical_entry_cycle(m))
+    successor = np.zeros(n + 1, dtype=np.int64)
+    successor[cycle] = np.roll(cycle, -1)
+    if not np.array_equal(successor[table[:-1]], table[1:]):
+        raise OutOfRange("cycle table rows are not consecutive reasoning steps")
+    # next(v) - v + 1: zero except at the exceptional values
+    correction = (successor - np.arange(n + 1) + 1)[table[:-1]]
+    with decimal.localcontext() as ctx:
+        ctx.prec = m * len(str(n)) + 2  # n^m has at most m * digits(n) digits
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        weights = [decimal.Decimal(1)]
+        for _ in range(m - 1):
+            weights.append(weights[-1] * n)
+        weights.reverse()
+        deltas = [-sum(weights)] * (rows - 1)
+        hit_t, hit_i = np.nonzero(correction)
+        for t, i, c in zip(
+            hit_t.tolist(), hit_i.tolist(), correction[hit_t, hit_i].tolist()
+        ):
+            deltas[t] += c * weights[i]
+        rank = decimal.Decimal(kappa(tuple(table[0].tolist()), n))
+        ranks = [str(rank)]
+        for delta in deltas:
+            rank += delta
+            ranks.append(str(rank))
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -175,39 +251,81 @@ class SparseState:
         return self.amplitudes.get(tuple(idx), 0j)
 
 
+def _uniform_amplitude(size: int) -> float:
+    return 1.0 / math.sqrt(size)
+
+
 def build_initial_state(config: Configuration) -> SparseState:
     """Equiponderate superposition of the 2m reasoning-cycle states: every
     amplitude is the real positive 1/sqrt(2m)."""
     states = cycle_states(config)
-    amp = 1.0 / math.sqrt(len(states))
+    amp = _uniform_amplitude(len(states))
     return SparseState(
         config.m, 2 * config.m, {idx: complex(amp) for idx in states}
     )
 
 
-def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = None) -> str:
-    """Serialize to {"m", "n", "terms": [{"tuple", "embedded", "re", "im"}]}.
+def initial_state_terms(config: Configuration) -> Iterator[Term]:
+    """The terms of ``build_initial_state(config)`` for ``write_state_json``,
+    without building the state.
 
-    Terms keep the state's insertion order (cycle order for states built
-    here).  The embedded index is written as a decimal string so consumers
-    limited to 64-bit integers survive large m.  ``extra`` prepends
-    additional top-level keys (e.g. a run manifest).
+    The table and the ranks are computed and checked by this call, so an
+    invalid configuration fails before anything is written; the rows become
+    lists one at a time as the iterator is consumed.
     """
-    obj: dict[str, object] = {}
-    if extra:
-        obj.update(extra)
-    obj["m"] = state.m
-    obj["n"] = state.n
-    obj["terms"] = [
-        {
-            "tuple": list(idx),
-            "embedded": str(kappa(idx, state.n)),
-            "re": a.real,
-            "im": a.imag,
-        }
-        for idx, a in state.amplitudes.items()
-    ]
-    return json.dumps(obj, indent=2)
+    table = cycle_table(config)
+    ranks = cycle_ranks(table)
+    amp = _uniform_amplitude(len(table))
+    return ((row.tolist(), rank, amp, 0.0) for row, rank in zip(table, ranks))
+
+
+def write_state_json(
+    out: TextIO,
+    m: int,
+    n: int,
+    terms: Iterable[Term],
+    extra: Mapping[str, object] | None = None,
+) -> None:
+    """Write {**extra, "m", "n", "terms": [{"tuple", "embedded", "re", "im"}]}
+    to ``out`` one term at a time.
+
+    The bytes are exactly those of ``json.dumps(document, indent=2)``, with
+    no trailing newline.  The embedded index is a decimal string so consumers
+    limited to 64-bit integers survive large m.
+    """
+    head, tail = json.dumps(
+        {**(extra or {}), "m": m, "n": n, "terms": []}, indent=2
+    ).split('\n  "terms": []')
+    entry = [f"\n        {v}" for v in range(n + 1)]
+    out.write(head + '\n  "terms": [')
+    sep = "\n"
+    for entries, embedded, re, im in terms:
+        items = ",".join([entry[e] for e in entries])
+        listing = "[" + items + "\n      ]" if items else "[]"
+        out.write(
+            f'{sep}    {{\n      "tuple": {listing},\n      "embedded": {json.dumps(embedded)},'
+            f'\n      "re": {json.dumps(re)},\n      "im": {json.dumps(im)}\n    }}'
+        )
+        sep = ",\n"
+    out.write(("\n  ]" if sep == ",\n" else "]") + tail)
+
+
+def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = None) -> str:
+    """Serialize with ``write_state_json``, terms in the state's insertion
+    order (cycle order for states built here).  ``extra`` prepends
+    additional top-level keys (e.g. a run manifest)."""
+    buf = io.StringIO()
+    write_state_json(
+        buf,
+        state.m,
+        state.n,
+        (
+            (idx, decimal_string(kappa(idx, state.n)), a.real, a.imag)
+            for idx, a in state.amplitudes.items()
+        ),
+        extra,
+    )
+    return buf.getvalue()
 
 
 def state_from_json(text: str) -> SparseState:
@@ -218,8 +336,8 @@ def state_from_json(text: str) -> SparseState:
     amps: dict[TensorIndex, complex] = {}
     for term in obj["terms"]:
         idx = tuple(int(e) for e in term["tuple"])
-        embedded = int(term["embedded"])
-        if kappa(idx, n) != embedded:
+        embedded = str(term["embedded"])
+        if decimal_string(kappa(idx, n)) != embedded:
             raise OutOfRange(
                 f"term {idx} disagrees with its embedded index {embedded}"
             )

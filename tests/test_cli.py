@@ -1,9 +1,30 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liarsim.verify as verify_mod
-from liarsim.cli import main, parse_sentences, parse_start, parse_time_scale
+from liarsim import (
+    Configuration,
+    build_initial_state,
+    canonical_entry_cycle,
+    config_to_json,
+    count_paradoxical,
+    kappa,
+    reasoning_cycle,
+    state_from_json,
+    state_to_json,
+)
+from liarsim.cli import main, parse_sentences, parse_start, parse_time_scale, resolve_config
+from liarsim.statespace import cycle_ranks, cycle_table
 
 from golden import EIGHT_EMBEDDED, EIGHT_TUPLES
 
@@ -13,6 +34,13 @@ def test_count_command(capsys):
     assert capsys.readouterr().out == "384\n"
     assert main(["count", "--m", "1"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_count_prints_integers_past_the_int_str_limit(capsys):
+    assert main(["count", "--m", "2000"]) == 0
+    digits = capsys.readouterr().out.strip()
+    assert len(digits) == 6334 and digits.isdigit()
+    assert Decimal(digits) == Decimal(count_paradoxical(2000))
 
 
 def test_count_rejects_bad_m(capsys):
@@ -53,6 +81,94 @@ def test_state_rejects_non_paradoxical(capsys):
 def test_state_rejects_missing_file(capsys):
     assert main(["state", "--config", "no-such-file.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_state_error_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "x"
+    inline = '{"m": 2, "referent": [2, 1], "negating": [true, true]}'
+    assert main(["state", "--config", inline, "--out", str(target)]) == 1
+    assert not target.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_state_reader_closing_the_pipe_early_is_not_an_error():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liarsim.cli", "state", "--config", "simple:300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # the document is about 2.6 MB, far more than a pipe buffers, so the
+    # writer is still writing when the reader goes away
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def _reference_state_text(config: Configuration, spec: str) -> str:
+    """The ``state`` output as the plain algorithm writes it: every tuple
+    walked entry by entry, ``kappa`` per tuple, one ``json.dumps``."""
+    m, n = config.m, 2 * config.m
+    true_step = {s.sentence: s.step for s in reasoning_cycle(config).steps if s.value}
+    entries = canonical_entry_cycle(m)
+    tuples = [
+        tuple(entries[(t - true_step[i]) % n] for i in range(1, m + 1))
+        for t in range(1, n + 1)
+    ]
+    amp = 1.0 / math.sqrt(n)
+    doc = {
+        "manifest": {"command": "state", "config": spec},
+        "m": m,
+        "n": n,
+        "terms": [
+            {"tuple": list(idx), "embedded": str(kappa(idx, n)), "re": amp, "im": 0.0}
+            for idx in tuples
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "spec", ["one-liar", "eight-liar"] + [f"simple:{m}" for m in range(2, 41)]
+)
+def test_state_output_matches_reference_document(spec, capsys):
+    assert main(["state", "--config", spec]) == 0
+    assert capsys.readouterr().out == _reference_state_text(resolve_config(spec), spec)
+
+
+@st.composite
+def paradoxical_configs(draw):
+    m = draw(st.integers(1, 12))
+    order = [1] + draw(st.permutations(range(2, m + 1)))
+    referent = [0] * m
+    for sentence, target in zip(order, order[1:] + order[:1]):
+        referent[sentence - 1] = target
+    negating = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    if sum(negating) % 2 == 0:
+        negating[0] = not negating[0]
+    return Configuration(m, tuple(referent), tuple(negating))
+
+
+@settings(max_examples=60, deadline=None)
+@given(paradoxical_configs())
+def test_state_export_matches_reference_on_random_configs(config):
+    spec = config_to_json(config)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["state", "--config", spec]) == 0
+    assert out.getvalue() == _reference_state_text(config, spec)
+    table = cycle_table(config)
+    assert cycle_ranks(table) == [str(kappa(tuple(row))) for row in table.tolist()]
+    state = build_initial_state(config)
+    assert state_from_json(state_to_json(state)) == state
 
 
 def test_trace_command_output(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from liarsim import (
     state_from_json,
     state_to_json,
 )
+from liarsim.statespace import cycle_ranks, cycle_table
 
 from golden import EIGHT_EMBEDDED, EIGHT_TUPLES
 
@@ -212,3 +214,48 @@ def test_state_json_extra_keys_and_validation():
     tampered["terms"][0]["embedded"] = "2"
     with pytest.raises(OutOfRange):
         state_from_json(json.dumps(tampered))
+
+
+def test_cycle_ranks_exact_past_the_int_str_limit():
+    # ranks at m = 1300 reach 2600^1300, 4,440 digits: past the 4,300-digit
+    # default limit of str(int)
+    table = cycle_table(simple_liar(1300))
+    ranks = cycle_ranks(table)
+    assert len(ranks) == 2600
+    for row in (0, -1):
+        assert Decimal(ranks[row]) == Decimal(kappa(tuple(table[row].tolist())))
+
+
+def test_cycle_ranks_reject_tables_that_are_not_cycles():
+    table = cycle_table(eight_liar())
+    with pytest.raises(OutOfRange):
+        cycle_ranks(table[::-1])
+    bad = table.copy()
+    bad[3, 2] = 17
+    with pytest.raises(OutOfRange):
+        cycle_ranks(bad)
+
+
+def test_state_json_is_json_dumps_with_indent():
+    extra = {"manifest": {"nested": [1, {"a": None}], "text": 'a " and \n'}, "m": 99}
+    states = (
+        SparseState(2, 4, {}),
+        SparseState(0, 2, {(): 1.0}),
+        SparseState(2, 4, {(1, 2): 0.6, (3, 4): 0.8j}),
+    )
+    for state in states:
+        doc = {
+            **extra,
+            "m": state.m,
+            "n": state.n,
+            "terms": [
+                {"tuple": list(idx), "embedded": str(kappa(idx, state.n)), "re": a.real, "im": a.imag}
+                for idx, a in state.amplitudes.items()
+            ],
+        }
+        assert state_to_json(state, extra=extra) == json.dumps(doc, indent=2)
+
+
+def test_state_json_round_trip_past_the_int_str_limit():
+    state = SparseState(1300, 2600, {(2600,) * 1300: 1.0})  # rank 2600^1300
+    assert state_from_json(state_to_json(state)) == state
