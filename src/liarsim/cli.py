@@ -31,7 +31,7 @@ from .config import (
     simple_liar,
 )
 from .errors import LiarSimError, OutOfRange
-from .evolution import probability_trace, time_grid, trace_to_csv
+from .evolution import trace_csv_chunks
 from .statespace import decimal_string, initial_state_terms, write_state_json
 from .verify import all_passed, run_verification
 
@@ -198,15 +198,6 @@ def cmd_trace(args) -> int:
     t_max = args.t_max if args.t_max is not None else 2.0 * (2 * config.m) * args.time_scale
     sentences = args.sentences or tuple(range(1, config.m + 1))
     precision = output_precision()
-    times = time_grid(t_max, args.dt)
-    rows = probability_trace(
-        config,
-        args.start,
-        times,
-        sentences=sentences,
-        time_scale=args.time_scale,
-        renormalize=not args.raw_collapse,
-    )
     manifest = RunManifest(
         "trace",
         (
@@ -220,7 +211,21 @@ def cmd_trace(args) -> int:
             ("precision", str(precision)),
         ),
     )
-    _write(args.out, trace_to_csv(rows, header_lines=manifest.lines(), precision=precision))
+    # Everything that can reject the run is checked here, before the output
+    # is opened, so a failure leaves no partial file.
+    chunks = trace_csv_chunks(
+        config,
+        args.start,
+        t_max,
+        args.dt,
+        sentences=sentences,
+        time_scale=args.time_scale,
+        renormalize=not args.raw_collapse,
+        header_lines=manifest.lines(),
+        precision=precision,
+    )
+    with _output(args.out) as out:
+        out.writelines(chunks)
     if args.gnuplot:
         _write(args.gnuplot, _gnuplot_script(args.out, sentences))
     return 0

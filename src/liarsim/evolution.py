@@ -12,10 +12,19 @@ Traces and propagation run in cycle positions 0..2m-1.  U(tau) is
 circulant, so ``propagate`` applies its first column as a circular
 convolution, and after the start hypothesis is collapsed every trace
 probability is the closed-form Fejer kernel of tau minus the target's
-displacement (see ``probability_trace``).  Integer times take the exact
+displacement (see ``_trace_blocks``).  Integer times take the exact
 permutation route.  The dense spectral frame (``fourier_frame``,
 ``propagator``, ``hamiltonian``) is built only on demand and is kept as the
 verification oracle for small m.
+
+Traces are computed in blocks of ``_TRACE_BLOCK`` times by one generator,
+which also does every check: sentences, start, time scale, the
+``MAX_TRACE_ROWS`` cap and finite tau.  ``trace_csv_chunks`` streams the
+CSV of a time grid from it, one ``%`` operation per block over a template
+with the sentence numbers as literals, so no row objects and no whole-file
+string are built; ``probability_trace`` turns the same blocks into
+``TraceRow``s, and ``trace_to_csv`` formats rows with the same template, so
+both routes give the same bytes.
 
 Branch convention, which pins every continuous-time quantity:
 U(tau) = exp(tau * log U_D) with the principal logarithm taken
@@ -31,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,9 +49,13 @@ from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
 from .statespace import SparseState, TensorIndex, cycle_states
 
-# Times per block of probability_trace's kernel evaluation.  Bounding the
-# temporaries keeps them from fragmenting the heap that the rows fill.
+# Times per block of a trace: the kernel temporaries and the text of a
+# block stay bounded however long the grid is.
 _TRACE_BLOCK = 1024
+# Largest trace (times x sentences) accepted.  At about 40 bytes a row it
+# bounds the output near 40 GB, and a larger request is rejected before any
+# allocation.
+MAX_TRACE_ROWS = 10**9
 
 
 def principal_phases(size: int) -> tuple[float, ...]:
@@ -197,22 +211,36 @@ class TraceRow:
     p_false: float
 
 
-def probability_trace(
+def trace_row_count(times: int, sentences: int) -> int:
+    """Row count of a trace of ``times`` times over ``sentences`` sentences,
+    rejected with ``OutOfRange`` above ``MAX_TRACE_ROWS``."""
+    rows = times * sentences
+    if rows > MAX_TRACE_ROWS:
+        raise OutOfRange(
+            f"trace of {times} times x {sentences} sentences = {rows} rows"
+            f" exceeds MAX_TRACE_ROWS = {MAX_TRACE_ROWS}"
+        )
+    return rows
+
+
+def _trace_blocks(
     config: Configuration,
     initial_measurement: tuple[int, bool],
-    times: tuple[float, ...] | list[float],
-    sentences: tuple[int, ...] | list[int] | None = None,
-    time_scale: float = 1.0,
-    renormalize: bool = True,
-) -> tuple[TraceRow, ...]:
-    """Truth and falsehood probability traces after an initial measurement.
+    count: int,
+    times_at: Callable[[int, int], np.ndarray],
+    t_bound: float,
+    sentences: Iterable[int] | None,
+    time_scale: float,
+    renormalize: bool,
+) -> tuple[tuple[int, ...], Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Validate a trace of ``count`` times and return its sentences, sorted
+    and deduplicated, with an iterator over its blocks of ``_TRACE_BLOCK``
+    times.
 
-    The initial state is collapsed by the hypothesis projector of
-    ``initial_measurement`` (renormalized unless ``renormalize`` is False,
-    in which case probabilities keep the raw 1/(2m) scale), then evolved to
-    each requested time.  Times are in output units of ``time_scale`` per
-    reasoning step, i.e. the evolution parameter is t / time_scale.  Rows
-    are ordered time-major, sentence-minor (ascending).
+    ``times_at(lo, hi)`` returns times lo..hi-1 as a float array, and no time
+    exceeds ``t_bound`` in magnitude.  Every check runs on the call, so the
+    caller may open its output once this returns.  Each block is (t, p):
+    p[:, :k] holds p_true and p[:, k:] p_false of the k sentences at t.
 
     The collapse leaves one cycle position, and each hypothesis sits at its
     own position (no degeneracy), d steps along the reasoning walk from the
@@ -237,6 +265,10 @@ def probability_trace(
     walk = reasoning_cycle(config)
     if not 1 <= start_sentence <= m:
         raise OutOfRange(f"sentence {start_sentence} outside 1..{m}")
+    trace_row_count(count, len(sentences))
+    # |t| <= t_bound, so every tau is finite when this one is.
+    if not math.isfinite(t_bound / time_scale):
+        raise OutOfRange(f"evolution time must be finite, got {t_bound / time_scale}")
 
     size = 2 * m
     step = {(s.sentence, s.value): s.step for s in walk.steps}
@@ -252,27 +284,56 @@ def probability_trace(
     if renormalize:
         weight = (amp / math.sqrt(weight)) ** 2
 
+    def blocks():
+        for lo in range(0, count, _TRACE_BLOCK):
+            t = times_at(lo, min(lo + _TRACE_BLOCK, count))
+            yield t, weight * _cycle_kernel(t / time_scale, d, size)
+
+    return sentences, blocks()
+
+
+def probability_trace(
+    config: Configuration,
+    initial_measurement: tuple[int, bool],
+    times: tuple[float, ...] | list[float],
+    sentences: tuple[int, ...] | list[int] | None = None,
+    time_scale: float = 1.0,
+    renormalize: bool = True,
+) -> tuple[TraceRow, ...]:
+    """Truth and falsehood probability traces after an initial measurement.
+
+    The initial state is collapsed by the hypothesis projector of
+    ``initial_measurement`` (renormalized unless ``renormalize`` is False,
+    in which case probabilities keep the raw 1/(2m) scale), then evolved to
+    each requested time.  Times are in output units of ``time_scale`` per
+    reasoning step, i.e. the evolution parameter is t / time_scale.  Rows
+    are ordered time-major, sentence-minor (ascending).  The kernel is the
+    closed form described at ``_trace_blocks``.
+    """
     t_out = np.asarray(times, dtype=float)
-    with np.errstate(over="ignore"):
-        tau = t_out / time_scale
-    finite = np.isfinite(tau)
-    if not finite.all():
-        bad = float(tau[~finite][0])
-        raise OutOfRange(f"evolution time must be finite, got {bad}")
+    sentences, blocks = _trace_blocks(
+        config,
+        initial_measurement,
+        len(t_out),
+        lambda lo, hi: t_out[lo:hi],
+        float(np.abs(t_out).max(initial=0.0)),
+        sentences,
+        time_scale,
+        renormalize,
+    )
     count = len(sentences)
     rows = []
-    for lo in range(0, len(tau), _TRACE_BLOCK):
-        block = slice(lo, lo + _TRACE_BLOCK)
-        p = weight * _cycle_kernel(tau[block], d, size)
-        for t, p_true, p_false in zip(
-            t_out[block].tolist(), p[:, :count].tolist(), p[:, count:].tolist()
+    for t, p in blocks:
+        for t_row, p_true, p_false in zip(
+            t.tolist(), p[:, :count].tolist(), p[:, count:].tolist()
         ):
-            rows.extend(map(TraceRow, [t] * count, sentences, p_true, p_false))
+            rows.extend(map(TraceRow, [t_row] * count, sentences, p_true, p_false))
     return tuple(rows)
 
 
-def time_grid(t_max: float, dt: float) -> tuple[float, ...]:
-    """Deterministic grid 0, dt, 2*dt, ... up to and including t_max."""
+def grid_size(t_max: float, dt: float) -> int:
+    """Number of times in the grid 0, dt, 2*dt, ... up to and including
+    t_max."""
     if not (0 < dt < math.inf and 0 <= t_max < math.inf):
         raise OutOfRange(
             f"need finite dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}"
@@ -280,8 +341,23 @@ def time_grid(t_max: float, dt: float) -> tuple[float, ...]:
     steps = t_max / dt
     if not math.isfinite(steps):
         raise OutOfRange(f"t_max/dt must be finite, got t_max={t_max}, dt={dt}")
-    count = int(math.floor(steps + 1e-9))
-    return tuple(j * dt for j in range(count + 1))
+    return int(math.floor(steps + 1e-9)) + 1
+
+
+def time_grid(t_max: float, dt: float) -> tuple[float, ...]:
+    """Deterministic grid 0, dt, 2*dt, ... up to and including t_max."""
+    return tuple(j * dt for j in range(grid_size(t_max, dt)))
+
+
+def _csv_header(header_lines: Iterable[str]) -> str:
+    return "".join(f"# {line}\n" for line in header_lines) + "t,sentence,p_true,p_false\n"
+
+
+def _row_template(sentences: Iterable[int], precision: int) -> str:
+    """``%`` template of one CSV row per sentence, taking (t, p_true,
+    p_false) per row; the sentence numbers are literals."""
+    g = f"%.{precision}g"
+    return "".join(f"{g},{i},{g},{g}\n" for i in sentences)
 
 
 def trace_to_csv(
@@ -291,14 +367,62 @@ def trace_to_csv(
 ) -> str:
     """Render rows as CSV: ``t,sentence,p_true,p_false`` with the given
     number of significant digits; optional comment lines precede the header."""
-    fmt = f"{{:.{precision}g}}"
-    out = [f"# {line}" for line in header_lines]
-    out.append("t,sentence,p_true,p_false")
-    for r in rows:
-        out.append(
-            f"{fmt.format(r.t)},{r.sentence},{fmt.format(r.p_true)},{fmt.format(r.p_false)}"
-        )
-    return "\n".join(out) + "\n"
+    return _csv_header(header_lines) + "".join(
+        _row_template((r.sentence,), precision) % (r.t, r.p_true, r.p_false)
+        for r in rows
+    )
+
+
+def trace_csv_chunks(
+    config: Configuration,
+    initial_measurement: tuple[int, bool],
+    t_max: float,
+    dt: float,
+    sentences: tuple[int, ...] | list[int] | None = None,
+    time_scale: float = 1.0,
+    renormalize: bool = True,
+    header_lines: tuple[str, ...] | list[str] = (),
+    precision: int = 12,
+) -> Iterator[str]:
+    """The CSV of ``probability_trace`` over ``time_grid(t_max, dt)`` as
+    ``trace_to_csv`` renders it, as text chunks: the header, then one chunk
+    per block of ``_TRACE_BLOCK`` times.
+
+    Every check, the row cap included, runs on the call; the chunks are
+    computed as they are consumed.  Each block packs (t, p_true, p_false)
+    into one (times, sentences, 3) array and formats it with one ``%``
+    operation.  The times are ``np.arange(lo, hi) * dt``, bit-identical to
+    ``time_grid``'s ``j * dt``.
+    """
+    count = grid_size(t_max, dt)
+    sentences, blocks = _trace_blocks(
+        config,
+        initial_measurement,
+        count,
+        lambda lo, hi: np.arange(lo, hi) * dt,
+        (count - 1) * dt,
+        sentences,
+        time_scale,
+        renormalize,
+    )
+    return _csv_chunks(sentences, blocks, _csv_header(header_lines), precision)
+
+
+def _csv_chunks(
+    sentences: tuple[int, ...],
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]],
+    header: str,
+    precision: int,
+) -> Iterator[str]:
+    yield header
+    row = _row_template(sentences, precision)
+    count = len(sentences)
+    for t, p in blocks:
+        values = np.empty((len(t), count, 3))
+        values[:, :, 0] = t[:, None]
+        values[:, :, 1] = p[:, :count]
+        values[:, :, 2] = p[:, count:]
+        yield (row * len(t)) % tuple(values.ravel().tolist())
 
 
 def trace_to_json(rows: tuple[TraceRow, ...] | list[TraceRow]) -> str:

@@ -128,12 +128,13 @@ def cycle_table(config: Configuration) -> np.ndarray:
     """
     steps = reasoning_cycle(config).steps
     m = config.m
-    true_step = np.empty(m, dtype=np.int64)
+    # Entries and steps are at most 2m: int32 halves the index temporaries.
+    true_step = np.empty(m, dtype=np.int32)
     for s in steps:
         if s.value:
             true_step[s.sentence - 1] = s.step
     period = 2 * m
-    offsets = np.subtract.outer(np.arange(1, period + 1), true_step)
+    offsets = np.subtract.outer(np.arange(1, period + 1, dtype=np.int32), true_step)
     offsets %= period
     return np.asarray(canonical_entry_cycle(m), dtype=np.int32)[offsets]
 
@@ -155,12 +156,13 @@ def cycle_ranks(table: np.ndarray) -> list[str]:
     if table.min() < 1 or table.max() > n:
         raise OutOfRange(f"cycle table has an entry outside 1..{n}")
     cycle = np.asarray(canonical_entry_cycle(m))
-    successor = np.zeros(n + 1, dtype=np.int64)
+    # entries are at most 2m, so the gathers below stay in int32
+    successor = np.zeros(n + 1, dtype=np.int32)
     successor[cycle] = np.roll(cycle, -1)
     if not np.array_equal(successor[table[:-1]], table[1:]):
         raise OutOfRange("cycle table rows are not consecutive reasoning steps")
     # next(v) - v + 1: zero except at the exceptional values
-    correction = (successor - np.arange(n + 1) + 1)[table[:-1]]
+    correction = (successor - np.arange(n + 1, dtype=np.int32) + 1)[table[:-1]]
     with decimal.localcontext() as ctx:
         ctx.prec = m * len(str(n)) + 2  # n^m has at most m * digits(n) digits
         ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import liarsim.verify as verify_mod
 from liarsim import (
@@ -19,11 +20,14 @@ from liarsim import (
     config_to_json,
     count_paradoxical,
     kappa,
+    probability_trace,
     reasoning_cycle,
     state_from_json,
     state_to_json,
+    trace_to_csv,
 )
 from liarsim.cli import main, parse_sentences, parse_start, parse_time_scale, resolve_config
+from liarsim.evolution import _TRACE_BLOCK, MAX_TRACE_ROWS, grid_size
 from liarsim.statespace import cycle_ranks, cycle_table
 
 from golden import EIGHT_EMBEDDED, EIGHT_TUPLES
@@ -91,26 +95,6 @@ def test_state_error_writes_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-
-
-def test_state_reader_closing_the_pipe_early_is_not_an_error():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "liarsim.cli", "state", "--config", "simple:300"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    # the document is about 2.6 MB, far more than a pipe buffers, so the
-    # writer is still writing when the reader goes away
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 0
-    assert err == b""
 
 
 def _reference_state_text(config: Configuration, spec: str) -> str:
@@ -323,6 +307,250 @@ def test_trace_rejects_non_finite_time_parameters(extra, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1 and "error" in captured.err
+
+
+def _pipe_closed_early(argv):
+    """Run the CLI with ``argv`` in a subprocess, read 10 bytes of its
+    stdout, close the pipe, and return (exit code, stderr bytes)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liarsim.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+def test_state_reader_closing_the_pipe_early_is_not_an_error():
+    # the document is about 2.6 MB, far more than a pipe buffers, so the
+    # writer is still writing when the reader goes away
+    code, err = _pipe_closed_early(["state", "--config", "simple:300"])
+    assert code == 0
+    assert err == b""
+
+
+def test_trace_reader_closing_the_pipe_early_is_not_an_error():
+    # 327,744 rows, about 10 MB: far more than a pipe buffers, so the writer
+    # is still writing blocks when the reader goes away
+    code, err = _pipe_closed_early(["trace", "--config", "simple:64"])
+    assert code == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--start", "9:T"],
+        ["--sentences", "1,9"],
+        ["--sentences", "0"],
+        ["--t-max", "1e300", "--dt", "1e299", "--time-scale", "1e-10"],
+        ["--dt", "1e-9"],
+    ],
+)
+def test_trace_error_writes_nothing(extra, tmp_path, capsys):
+    target = tmp_path / "x.csv"
+    assert main(["trace", "--config", "eight-liar", *extra, "--out", str(target)]) == 1
+    assert not target.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_trace_over_the_row_cap_is_rejected_before_any_work(capsys):
+    # two cycles of the one-liar at dt = 1e-9: about 4e9 times, over the cap
+    assert main(["trace", "--config", "one-liar", "--dt", "1e-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    rows = grid_size(4.0, 1e-9)
+    assert rows > MAX_TRACE_ROWS
+    assert captured.err.splitlines() == [
+        f"liarsim: error: trace of {rows} times x 1 sentences = {rows} rows"
+        f" exceeds MAX_TRACE_ROWS = {MAX_TRACE_ROWS}"
+    ]
+
+
+def _reference_trace_text(spec, start, t_max, dt, scale, raw, sentences, precision):
+    """The ``trace`` output as the plain algorithm writes it: a ``j * dt``
+    tuple of times, the ``TraceRow``s of each time on their own and
+    ``str.format`` per value."""
+    config = resolve_config(spec)
+    if t_max is None:
+        t_max = 2.0 * (2 * config.m) * scale
+    count = int(math.floor(t_max / dt + 1e-9)) + 1
+    times = tuple(j * dt for j in range(count))
+    rows = [
+        row
+        for t in times
+        for row in probability_trace(
+            config, start, [t], sentences=sentences, time_scale=scale, renormalize=not raw
+        )
+    ]
+    echoed = sentences or range(1, config.m + 1)
+    header = [
+        "command=trace",
+        f"config={spec}",
+        f"start={start[0]}:{'T' if start[1] else 'F'}",
+        f"t_max={t_max:.12g}",
+        f"dt={dt:.12g}",
+        f"time_scale={scale:.12g}",
+        f"renormalize={'off' if raw else 'on'}",
+        "sentences=" + ",".join(str(i) for i in echoed),
+        f"precision={precision}",
+    ]
+    fmt = f"{{:.{precision}g}}"
+    lines = [f"# {line}" for line in header] + ["t,sentence,p_true,p_false"]
+    for r in rows:
+        lines.append(
+            f"{fmt.format(r.t)},{r.sentence},{fmt.format(r.p_true)},{fmt.format(r.p_false)}"
+        )
+    text = "\n".join(lines) + "\n"
+    assert trace_to_csv(rows, header_lines=header, precision=precision) == text
+    return text
+
+
+SCALES = {"1": 1.0, "1.3": 1.3, "pi/2": math.pi / 2}
+
+
+def _check_trace_bytes(spec, start=(1, True), t_max=None, dt=0.25, scale="1",
+                       raw=False, sentences=None, precision=12):
+    argv = ["trace", "--config", spec, "--start", f"{start[0]}:{'T' if start[1] else 'F'}",
+            "--dt", repr(dt), "--time-scale", scale]
+    if t_max is not None:
+        argv += ["--t-max", repr(t_max)]
+    if raw:
+        argv.append("--raw-collapse")
+    if sentences:
+        argv += ["--sentences", ",".join(str(i) for i in sentences)]
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"LIARSIM_PRECISION": str(precision)}):
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    want = _reference_trace_text(
+        spec, start, t_max, dt, SCALES[scale], raw, sentences, precision
+    )
+    assert out.getvalue().encode() == want.encode()
+
+
+@pytest.mark.parametrize(
+    "spec", ["one-liar", "eight-liar"] + [f"simple:{m}" for m in range(2, 25)]
+)
+def test_trace_output_matches_reference(spec):
+    m = resolve_config(spec).m
+    k = m + len(spec)
+    for raw in (False, True):
+        _check_trace_bytes(
+            spec,
+            start=(m, raw),
+            dt=0.5,
+            scale=list(SCALES)[(k + raw) % 3],
+            raw=raw,
+            sentences=(m, 1, m) if raw else None,
+            precision=(1, 3, 12, 17)[(k + 2 * raw) % 4],
+        )
+
+
+@pytest.mark.parametrize("precision", [1, 3, 12, 17])
+@pytest.mark.parametrize("scale", list(SCALES))
+@pytest.mark.parametrize("spec", ["one-liar", "eight-liar"])
+def test_trace_output_matches_reference_at_every_precision(spec, scale, precision):
+    for raw in (False, True):
+        _check_trace_bytes(spec, start=(1, not raw), dt=0.3, scale=scale, raw=raw,
+                           precision=precision)
+
+
+@pytest.mark.parametrize(
+    "count", [1, 2, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1, 2 * _TRACE_BLOCK + 3]
+)
+def test_trace_output_matches_reference_across_blocks(count):
+    # dt = 0.1 is inexact, so a block that computed its times as lo * dt
+    # plus offsets would differ from j * dt in the last digits
+    _check_trace_bytes("eight-liar", start=(2, False), t_max=(count - 1) * 0.1,
+                       dt=0.1, scale="1.3", sentences=(5, 2), precision=17)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    paradoxical_configs(),
+    st.data(),
+    st.sampled_from(list(SCALES)),
+    st.sampled_from([1, 3, 12, 17]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.1, 1.0, 7.3]),
+    st.sampled_from([0.1, 0.25, 0.3]),
+)
+def test_trace_output_matches_reference_on_random_configs(
+    config, data, scale, precision, raw, t_max, dt
+):
+    m = config.m
+    start = (data.draw(st.integers(1, m)), data.draw(st.booleans()))
+    sentences = data.draw(
+        st.none() | st.lists(st.integers(1, m), min_size=1, max_size=m + 1)
+    )
+    _check_trace_bytes(config_to_json(config), start=start, t_max=t_max, dt=dt,
+                       scale=scale, raw=raw, sentences=sentences, precision=precision)
+
+
+# Edge values for the argv fuzzer.  Every grid they can form is under 10^4
+# rows (the largest: eight-liar over its default span at scale pi/2, dt 0.05,
+# 8,048 rows) or is rejected before any work.
+EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "1.5", "x", ""]
+FUZZ_VALUES = {
+    "--m": EDGE_NUMBERS + ["1", "5"],
+    "--config": [
+        "one-liar", "eight-liar", "simple:3", "simple:0", "simple:-1",
+        "simple:nan", "simple:1.5", "no-such-file.json", "{",
+        '{"m": 1.9, "referent": [1], "negating": [true]}',
+        '{"m": 2, "referent": [2, 1], "negating": [true, true]}',
+    ],
+    "--start": ["1:T", "2:F", "9:T", "0:T", "-1:F", "1:X", "x"],
+    "--t-max": EDGE_NUMBERS,
+    "--dt": EDGE_NUMBERS,
+    "--time-scale": EDGE_NUMBERS + ["pi", "pi/0", "pi/2", "pi/-1", "1.3"],
+    "--sentences": ["1", "3,1", "1,1", "0", "9", "-1", "x", ""],
+}
+FUZZ_OPTIONS = {
+    "count": ["--m"],
+    "state": ["--config", "--out"],
+    "trace": ["--config", "--start", "--t-max", "--dt", "--time-scale",
+              "--sentences", "--raw-collapse", "--gnuplot", "--out"],
+}
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_argv_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path, data):
+    paths = ["-", str(tmp_path / "out"), str(tmp_path / "no-such-dir" / "out")]
+    command = data.draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for option in FUZZ_OPTIONS[command]:
+        if option == "--raw-collapse":
+            argv += data.draw(st.sampled_from([[], [option]]))
+            continue
+        # two default cycles of the eight-liar at scale pi are 16,088 rows
+        values = FUZZ_VALUES.get(option, paths)
+        if option == "--time-scale" and "--t-max" not in argv:
+            values = [v for v in values if v != "pi"]
+        value = data.draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [option, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1, argv
 
 
 def test_argument_parsers():

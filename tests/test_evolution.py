@@ -29,6 +29,7 @@ from liarsim import (
     trace_to_csv,
     trace_to_json,
 )
+from liarsim.evolution import MAX_TRACE_ROWS, grid_size, trace_csv_chunks, trace_row_count
 
 TOL = 1e-10
 
@@ -294,8 +295,10 @@ def test_trace_validation_errors():
 def test_time_grid():
     grid = time_grid(2.0, 0.5)
     assert grid == (0.0, 0.5, 1.0, 1.5, 2.0)
-    assert len(time_grid(2.0, 0.05)) == 41
+    assert len(time_grid(2.0, 0.05)) == grid_size(2.0, 0.05) == 41
     assert time_grid(0.0, 0.1) == (0.0,)
+    # the count alone, however large, allocates nothing
+    assert grid_size(1e300, 1e-7) == int(1e300 / 1e-7) + 1
     with pytest.raises(OutOfRange):
         time_grid(1.0, 0.0)
     with pytest.raises(OutOfRange):
@@ -303,6 +306,37 @@ def test_time_grid():
     for t_max, dt in ((1e308, 1e-308), (math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf)):
         with pytest.raises(OutOfRange):
             time_grid(t_max, dt)
+        with pytest.raises(OutOfRange):
+            grid_size(t_max, dt)
+
+
+def test_trace_row_cap():
+    assert trace_row_count(MAX_TRACE_ROWS, 1) == MAX_TRACE_ROWS
+    assert trace_row_count(MAX_TRACE_ROWS // 8, 8) == MAX_TRACE_ROWS
+    with pytest.raises(OutOfRange, match=f"= {MAX_TRACE_ROWS + 1} rows"):
+        trace_row_count(MAX_TRACE_ROWS + 1, 1)
+    with pytest.raises(OutOfRange, match=f"= {MAX_TRACE_ROWS + 8} rows"):
+        trace_row_count(MAX_TRACE_ROWS // 8 + 1, 8)
+    # both trace routes check the cap before any kernel work
+    with pytest.raises(OutOfRange, match="exceeds MAX_TRACE_ROWS"):
+        trace_csv_chunks(eight_liar(), (1, True), 1e300, 1e-7)
+    with pytest.raises(OutOfRange, match="exceeds MAX_TRACE_ROWS"):
+        trace_csv_chunks(one_liar(), (1, True), float(MAX_TRACE_ROWS), 1.0)
+
+
+def test_trace_csv_chunks_validate_on_the_call():
+    # nothing is consumed: the errors come from the call itself
+    with pytest.raises(OutOfRange):
+        trace_csv_chunks(one_liar(), (2, True), 1.0, 0.5)
+    with pytest.raises(OutOfRange):
+        trace_csv_chunks(one_liar(), (1, True), 1.0, 0.5, sentences=(2,))
+    with pytest.raises(OutOfRange, match="must be finite"):
+        trace_csv_chunks(one_liar(), (1, True), 1e300, 1e299, time_scale=1e-10)
+    chunks = list(trace_csv_chunks(eight_liar(), (1, True), 300.0, 0.1, header_lines=("x",)))
+    assert chunks[0] == "# x\nt,sentence,p_true,p_false\n"
+    assert len(chunks) == 1 + 3  # header, then 3001 times in blocks of 1024
+    rows = probability_trace(eight_liar(), (1, True), time_grid(300.0, 0.1))
+    assert "".join(chunks) == trace_to_csv(rows, header_lines=("x",))
 
 
 def test_trace_csv_format():
