@@ -220,10 +220,10 @@ class MinimalityReport:
         )
 
 
-def verify_minimality(m: int, bound: int = AUDIT_BOUND) -> MinimalityReport:
+def verify_minimality(m: int) -> MinimalityReport:
     """Run both branches of the audit for one m and report the verdicts."""
-    if not 2 <= m <= bound:
-        raise OutOfRange(f"audit covers 2 <= m <= {bound}, got {m}")
+    if not 2 <= m <= AUDIT_BOUND:
+        raise OutOfRange(f"audit covers 2 <= m <= {AUDIT_BOUND}, got {m}")
     return MinimalityReport(
         m=m,
         satisfiable=solve_constraints(m, 2 * m),

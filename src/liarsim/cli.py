@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .audit import AUDIT_BOUND, Contradiction, report_to_json, verify_minimality
 from .config import (
@@ -45,21 +43,6 @@ class _Parser(argparse.ArgumentParser):
     # and report them in one line, like every other input error.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved settings of one run, echoed into the output header."""
-
-    command: str
-    fields: tuple[tuple[str, str], ...]
-
-    def lines(self) -> tuple[str, ...]:
-        pairs = (("command", self.command),) + self.fields
-        return tuple(f"{k}={v}" for k, v in pairs)
-
-    def mapping(self) -> dict[str, str]:
-        return {"command": self.command, **{k: v for k, v in self.fields}}
 
 
 def resolve_config(spec: str) -> Configuration:
@@ -145,11 +128,6 @@ def _output(path: str | None):
             yield fh
 
 
-def _write(path: str | None, text: str) -> None:
-    with _output(path) as out:
-        out.write(text)
-
-
 def cmd_count(args) -> int:
     print(decimal_string(count_paradoxical(args.m)))
     return 0
@@ -160,9 +138,9 @@ def cmd_state(args) -> int:
     # The table and the ranks are computed and checked before the output
     # is opened, so a failure leaves no partial file.
     terms = initial_state_terms(config)
-    manifest = RunManifest("state", (("config", args.config),))
+    manifest = {"command": "state", "config": args.config}
     with _output(args.out) as out:
-        write_state_json(out, config.m, 2 * config.m, terms, {"manifest": manifest.mapping()})
+        write_state_json(out, config.m, 2 * config.m, terms, {"manifest": manifest})
         out.write("\n")
     return 0
 
@@ -198,19 +176,18 @@ def cmd_trace(args) -> int:
     t_max = args.t_max if args.t_max is not None else 2.0 * (2 * config.m) * args.time_scale
     sentences = args.sentences or tuple(range(1, config.m + 1))
     precision = output_precision()
-    manifest = RunManifest(
-        "trace",
-        (
-            ("config", args.config),
-            ("start", f"{args.start[0]}:{'T' if args.start[1] else 'F'}"),
-            ("t_max", f"{t_max:.12g}"),
-            ("dt", f"{args.dt:.12g}"),
-            ("time_scale", f"{args.time_scale:.12g}"),
-            ("renormalize", "off" if args.raw_collapse else "on"),
-            ("sentences", ",".join(str(i) for i in sentences)),
-            ("precision", str(precision)),
-        ),
-    )
+    # Resolved settings of the run, echoed into the header in this order.
+    manifest = {
+        "command": "trace",
+        "config": args.config,
+        "start": f"{args.start[0]}:{'T' if args.start[1] else 'F'}",
+        "t_max": f"{t_max:.12g}",
+        "dt": f"{args.dt:.12g}",
+        "time_scale": f"{args.time_scale:.12g}",
+        "renormalize": "off" if args.raw_collapse else "on",
+        "sentences": ",".join(str(i) for i in sentences),
+        "precision": str(precision),
+    }
     # Everything that can reject the run is checked here, before the output
     # is opened, so a failure leaves no partial file.
     chunks = trace_csv_chunks(
@@ -221,13 +198,14 @@ def cmd_trace(args) -> int:
         sentences=sentences,
         time_scale=args.time_scale,
         renormalize=not args.raw_collapse,
-        header_lines=manifest.lines(),
+        header_lines=[f"{k}={v}" for k, v in manifest.items()],
         precision=precision,
     )
     with _output(args.out) as out:
         out.writelines(chunks)
     if args.gnuplot:
-        _write(args.gnuplot, _gnuplot_script(args.out, sentences))
+        with _output(args.gnuplot) as out:
+            out.write(_gnuplot_script(args.out, sentences))
     return 0
 
 
@@ -341,10 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except LiarSimError as exc:
-        print(f"liarsim: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LiarSimError, OSError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"liarsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,9 +26,5 @@ class SupportOutsideSubspace(LiarSimError):
     """A state has amplitude on basis tuples outside the evolution subspace."""
 
 
-class ZeroProbabilityMeasurement(LiarSimError):
-    """The requested initial measurement annihilates the initial state."""
-
-
 class UnsupportedDimension(LiarSimError):
     """The constraint audit only covers per-sentence dimensions 2m and 2m-1."""

@@ -17,14 +17,14 @@ permutation route.  The dense spectral frame (``fourier_frame``,
 ``propagator``, ``hamiltonian``) is built only on demand and is kept as the
 verification oracle for small m.
 
-Traces are computed in blocks of ``_TRACE_BLOCK`` times by one generator,
-which also does every check: sentences, start, time scale, the
-``MAX_TRACE_ROWS`` cap and finite tau.  ``trace_csv_chunks`` streams the
-CSV of a time grid from it, one ``%`` operation per block over a template
-with the sentence numbers as literals, so no row objects and no whole-file
-string are built; ``probability_trace`` turns the same blocks into
-``TraceRow``s, and ``trace_to_csv`` formats rows with the same template, so
-both routes give the same bytes.
+Traces are computed in blocks of whole times, at most ``_TRACE_BLOCK_ROWS``
+rows each, by one generator, which also does every check: sentences,
+start, time scale, the ``MAX_TRACE_ROWS`` cap and finite tau.
+``trace_csv_chunks`` streams the CSV of a time grid from it, one ``%``
+operation per block over a template with the sentence numbers as literals,
+so no row objects and no whole-file string are built; ``probability_trace``
+turns the same blocks into ``TraceRow``s, and ``trace_to_csv`` formats rows
+with the same template, so both routes give the same bytes.
 
 Branch convention, which pins every continuous-time quantity:
 U(tau) = exp(tau * log U_D) with the principal logarithm taken
@@ -44,14 +44,15 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .config import Configuration, validate
+from .config import Configuration, check_sentence, validate
 from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
-from .statespace import SparseState, TensorIndex, cycle_states
+from .statespace import SparseState, TensorIndex, _uniform_amplitude, cycle_states
 
-# Times per block of a trace: the kernel temporaries and the text of a
-# block stay bounded however long the grid is.
-_TRACE_BLOCK = 1024
+# Rows (times x sentences) per block of a trace: the kernel temporaries and
+# the text of a block stay bounded however long the grid and however many
+# sentences are traced.
+_TRACE_BLOCK_ROWS = 8192
 # Largest trace (times x sentences) accepted.  At about 40 bytes a row it
 # bounds the output near 40 GB, and a larger request is rejected before any
 # allocation.
@@ -75,6 +76,18 @@ def fourier_frame(size: int) -> np.ndarray:
     k is the shift eigenvector with eigenvalue exp(i * principal_phases[k])."""
     t = np.arange(size)
     return np.exp(2j * np.pi * np.outer(t, t) / size) / np.sqrt(size)
+
+
+def frame_operator(size: int, values: np.ndarray) -> np.ndarray:
+    """F diag(values) F^dagger for F = ``fourier_frame(size)``: the dense
+    operator with eigenvalue values[k] on shift eigenvector k."""
+    f = fourier_frame(size)
+    return f @ np.diag(values) @ f.conj().T
+
+
+def _check_finite_time(tau: float) -> None:
+    if not math.isfinite(tau):
+        raise OutOfRange(f"evolution time must be finite, got {tau}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,18 +150,14 @@ def step_matrix(ev: SubspaceEvolution) -> np.ndarray:
 def hamiltonian(ev: SubspaceEvolution) -> np.ndarray:
     """Generator H = i log U_D on the cycle basis; Hermitian, with
     eigenvalues -theta_k over the principal eigenphases."""
-    f = fourier_frame(ev.size)
-    return f @ np.diag(-np.asarray(ev.eigenphases)) @ f.conj().T
+    return frame_operator(ev.size, -np.asarray(ev.eigenphases))
 
 
 def propagator(ev: SubspaceEvolution, tau: float) -> np.ndarray:
     """U(tau) = exp(tau * log U_D) on the cycle basis via the dense spectral
     frame; the reference that the circulant routes are checked against."""
-    if not math.isfinite(tau):
-        raise OutOfRange(f"evolution time must be finite, got {tau}")
-    f = fourier_frame(ev.size)
-    phases = np.exp(1j * np.asarray(ev.eigenphases) * tau)
-    return f @ np.diag(phases) @ f.conj().T
+    _check_finite_time(tau)
+    return frame_operator(ev.size, np.exp(1j * np.asarray(ev.eigenphases) * tau))
 
 
 def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseState:
@@ -160,8 +169,7 @@ def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseSt
     the principal eigenphases, and it acts on the position vector v as the
     circular convolution c * v = ifft(exp(i*theta*tau) fft(v)).
     """
-    if not math.isfinite(tau):
-        raise OutOfRange(f"evolution time must be finite, got {tau}")
+    _check_finite_time(tau)
     if tau == int(tau):
         return apply_steps(ev, state, int(tau))
     vec = np.zeros(ev.size, dtype=complex)
@@ -234,8 +242,8 @@ def _trace_blocks(
     renormalize: bool,
 ) -> tuple[tuple[int, ...], Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Validate a trace of ``count`` times and return its sentences, sorted
-    and deduplicated, with an iterator over its blocks of ``_TRACE_BLOCK``
-    times.
+    and deduplicated, with an iterator over its blocks of whole times, at
+    most ``_TRACE_BLOCK_ROWS`` rows each.
 
     ``times_at(lo, hi)`` returns times lo..hi-1 as a float array, and no time
     exceeds ``t_bound`` in magnitude.  Every check runs on the call, so the
@@ -258,35 +266,32 @@ def _trace_blocks(
     else:
         sentences = tuple(sorted(set(sentences)))
         for i in sentences:
-            if not 1 <= i <= m:
-                raise OutOfRange(f"sentence {i} outside 1..{m}")
+            check_sentence(i, m)
     if not 0 < time_scale < math.inf:
         raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
     walk = reasoning_cycle(config)
-    if not 1 <= start_sentence <= m:
-        raise OutOfRange(f"sentence {start_sentence} outside 1..{m}")
+    check_sentence(start_sentence, m)
     trace_row_count(count, len(sentences))
     # |t| <= t_bound, so every tau is finite when this one is.
-    if not math.isfinite(t_bound / time_scale):
-        raise OutOfRange(f"evolution time must be finite, got {t_bound / time_scale}")
+    _check_finite_time(t_bound / time_scale)
 
     size = 2 * m
-    step = {(s.sentence, s.value): s.step for s in walk.steps}
-    origin = step[(start_sentence, bool(start_value))]
+    origin = walk.step_of(start_sentence, start_value)
     # Displacements of the traced hypotheses: all "true" columns, then all
     # "false" columns.
-    d = np.array([step[(i, v)] - origin for v in (True, False) for i in sentences])
+    d = np.array([walk.step_of(i, v) - origin for v in (True, False) for i in sentences])
     # The collapse weight w, in the float operations of the exact route: the
     # kept term has the initial amplitude 1/sqrt(N); renormalizing divides
     # it by its norm sqrt(w) before the probability squares it again.
-    amp = 1.0 / math.sqrt(size)
+    amp = _uniform_amplitude(size)
     weight = amp**2
     if renormalize:
         weight = (amp / math.sqrt(weight)) ** 2
+    per_block = max(1, _TRACE_BLOCK_ROWS // max(len(sentences), 1))
 
     def blocks():
-        for lo in range(0, count, _TRACE_BLOCK):
-            t = times_at(lo, min(lo + _TRACE_BLOCK, count))
+        for lo in range(0, count, per_block):
+            t = times_at(lo, min(lo + per_block, count))
             yield t, weight * _cycle_kernel(t / time_scale, d, size)
 
     return sentences, blocks()
@@ -386,7 +391,7 @@ def trace_csv_chunks(
 ) -> Iterator[str]:
     """The CSV of ``probability_trace`` over ``time_grid(t_max, dt)`` as
     ``trace_to_csv`` renders it, as text chunks: the header, then one chunk
-    per block of ``_TRACE_BLOCK`` times.
+    per block of ``_trace_blocks``.
 
     Every check, the row cap included, runs on the call; the chunks are
     computed as they are consumed.  Each block packs (t, p_true, p_false)
@@ -405,24 +410,20 @@ def trace_csv_chunks(
         time_scale,
         renormalize,
     )
-    return _csv_chunks(sentences, blocks, _csv_header(header_lines), precision)
-
-
-def _csv_chunks(
-    sentences: tuple[int, ...],
-    blocks: Iterator[tuple[np.ndarray, np.ndarray]],
-    header: str,
-    precision: int,
-) -> Iterator[str]:
-    yield header
+    header = _csv_header(header_lines)
     row = _row_template(sentences, precision)
-    count = len(sentences)
-    for t, p in blocks:
-        values = np.empty((len(t), count, 3))
-        values[:, :, 0] = t[:, None]
-        values[:, :, 1] = p[:, :count]
-        values[:, :, 2] = p[:, count:]
-        yield (row * len(t)) % tuple(values.ravel().tolist())
+    k = len(sentences)
+
+    def chunks():
+        yield header
+        for t, p in blocks:
+            values = np.empty((len(t), k, 3))
+            values[:, :, 0] = t[:, None]
+            values[:, :, 1] = p[:, :k]
+            values[:, :, 2] = p[:, k:]
+            yield (row * len(t)) % tuple(values.ravel().tolist())
+
+    return chunks()
 
 
 def trace_to_json(rows: tuple[TraceRow, ...] | list[TraceRow]) -> str:

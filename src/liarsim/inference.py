@@ -11,9 +11,9 @@ discrete evolution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .config import Configuration, validate
+from .config import Configuration, check_sentence, validate
 from .errors import NotParadoxical, OutOfRange
 
 
@@ -33,13 +33,24 @@ class ReasoningCycle:
 
     m: int
     steps: tuple[HypothesisStep, ...]
+    positions: dict[tuple[int, bool], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # reversed: should a cycle read from JSON repeat a hypothesis, its
+        # first occurrence wins, as in a scan of the steps
+        positions = {(s.sentence, s.value): s.step for s in reversed(self.steps)}
+        object.__setattr__(self, "positions", positions)
+
+    def step_of(self, sentence: int, value: bool) -> int:
+        """Position at which ``sentence`` is hypothesized to have ``value``."""
+        try:
+            return self.positions[sentence, value]
+        except KeyError:
+            raise OutOfRange(f"sentence {sentence} not in cycle") from None
 
     def true_step(self, sentence: int) -> int:
         """Position at which ``sentence`` is hypothesized true."""
-        for s in self.steps:
-            if s.sentence == sentence and s.value:
-                return s.step
-        raise OutOfRange(f"sentence {sentence} not in cycle")
+        return self.step_of(sentence, True)
 
     def hypothesis_at(self, step: int) -> tuple[int, bool]:
         """(sentence, value) hypothesized at 1-based position ``step``,
@@ -55,8 +66,7 @@ def infer_next(config: Configuration, sentence: int, value: bool) -> tuple[int, 
     An affirming claim propagates the value; a negating claim flips it
     (a false sentence makes the negation of its claim hold).
     """
-    if not 1 <= sentence <= config.m:
-        raise OutOfRange(f"sentence {sentence} outside 1..{config.m}")
+    check_sentence(sentence, config.m)
     return config.referent_of(sentence), value != config.is_negating(sentence)
 
 

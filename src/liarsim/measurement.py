@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import check_sentence
 from .errors import OutOfRange
-from .statespace import SparseState
+from .statespace import SparseState, TensorIndex
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class ProjectorSpec:
 
 def single_entry_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
     """Rank-one-per-factor projector onto a single entry value."""
-    if not 1 <= sentence <= m:
-        raise OutOfRange(f"sentence {sentence} outside 1..{m}")
+    check_sentence(sentence, m)
     if not 1 <= entry <= 2 * m:
         raise OutOfRange(f"entry {entry} outside 1..{2 * m}")
     return ProjectorSpec(sentence, frozenset((entry,)))
@@ -65,28 +65,25 @@ def inference_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
     return single_entry_projector(sentence, entry, m)
 
 
-def apply_projector(p: ProjectorSpec, state: SparseState) -> SparseState:
-    """Raw (non-renormalized) projection: keep the support whose entry on
-    ``p.sentence`` lies in ``p.entry_set``."""
-    if not 1 <= p.sentence <= state.m:
-        raise OutOfRange(f"sentence {p.sentence} outside 1..{state.m}")
-    kept = {
+def _kept(p: ProjectorSpec, state: SparseState) -> dict[TensorIndex, complex]:
+    """The support of ``state`` whose entry on ``p.sentence`` lies in
+    ``p.entry_set``."""
+    check_sentence(p.sentence, state.m)
+    return {
         idx: a
         for idx, a in state.amplitudes.items()
         if idx[p.sentence - 1] in p.entry_set
     }
-    return SparseState(state.m, state.n, kept)
+
+
+def apply_projector(p: ProjectorSpec, state: SparseState) -> SparseState:
+    """Raw (non-renormalized) projection of ``state`` by ``p``."""
+    return SparseState(state.m, state.n, _kept(p, state))
 
 
 def projection_probability(state: SparseState, p: ProjectorSpec) -> float:
     """Squared norm of the raw projection of ``state`` by ``p``."""
-    if not 1 <= p.sentence <= state.m:
-        raise OutOfRange(f"sentence {p.sentence} outside 1..{state.m}")
-    return sum(
-        abs(a) ** 2
-        for idx, a in state.amplitudes.items()
-        if idx[p.sentence - 1] in p.entry_set
-    )
+    return sum(abs(a) ** 2 for a in _kept(p, state).values())
 
 
 def collapse(

@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .config import Configuration
+from .config import Configuration, check_sentence_count
 from .errors import OutOfRange
 from .inference import reasoning_cycle
 
@@ -112,8 +112,7 @@ def canonical_entry_cycle(m: int) -> tuple[int, ...]:
     """The length-2m entry sequence each sentence traverses per reasoning
     cycle: start at the truth entry 2m-1, decrement to m, insert the
     falsehood entry 2m, continue decrementing to 1."""
-    if m < 1:
-        raise OutOfRange(f"sentence count must be positive, got {m}")
+    check_sentence_count(m)
     return (
         tuple(range(2 * m - 1, m - 1, -1)) + (2 * m,) + tuple(range(m - 1, 0, -1))
     )
@@ -126,13 +125,10 @@ def cycle_table(config: Configuration) -> np.ndarray:
     Row t - 1 gives sentence i the entry C[(t - t_i) mod 2m], where t_i is
     the step hypothesizing sentence i true.
     """
-    steps = reasoning_cycle(config).steps
+    walk = reasoning_cycle(config)
     m = config.m
     # Entries and steps are at most 2m: int32 halves the index temporaries.
-    true_step = np.empty(m, dtype=np.int32)
-    for s in steps:
-        if s.value:
-            true_step[s.sentence - 1] = s.step
+    true_step = np.array([walk.true_step(i) for i in range(1, m + 1)], dtype=np.int32)
     period = 2 * m
     offsets = np.subtract.outer(np.arange(1, period + 1, dtype=np.int32), true_step)
     offsets %= period

@@ -33,7 +33,7 @@ from .errors import OutOfRange
 from .evolution import (
     apply_steps,
     build_evolution,
-    fourier_frame,
+    frame_operator,
     hamiltonian,
     principal_phases,
     propagate,
@@ -112,10 +112,9 @@ def _sample_configs(m_max: int) -> tuple[Configuration, ...]:
     return tuple(configs)
 
 
-def _false_step(cycle, sentence: int) -> int:
-    t = cycle.true_step(sentence)
-    period = 2 * cycle.m
-    return (t - 1 + cycle.m) % period + 1
+def _config_for(m: int) -> Configuration:
+    """The configuration of size m that the spectral checks use."""
+    return eight_liar() if m == 8 else (one_liar() if m == 1 else simple_liar(m))
 
 
 def _check_counting(m_max: int) -> CheckResult:
@@ -128,8 +127,10 @@ def _check_counting(m_max: int) -> CheckResult:
                 "counting", False, f"m={m}: enumerated {found}, counted {expected}"
             )
         counts.append(expected)
+    # the closed form against (m-1)! cycles times the odd-size negation sets
     for m in range(1, 21):
-        if count_paradoxical(m) != math.factorial(m - 1) * 2 ** (m - 1):
+        odd = sum(math.comb(m, k) for k in range(1, m + 1, 2))
+        if count_paradoxical(m) != math.factorial(m - 1) * odd:
             return CheckResult("counting", False, f"closed form mismatch at m={m}")
     return CheckResult("counting", True, f"enumerated {counts}, closed form to m=20")
 
@@ -216,7 +217,7 @@ def _check_integer_steps(configs) -> CheckResult:
         for start_value in (True, False):
             proj = hypothesis_projector(1, start_value, m)
             state, _ = collapse(psi0, proj)
-            t0 = cycle.true_step(1) if start_value else _false_step(cycle, 1)
+            t0 = cycle.step_of(1, start_value)
             for t in range(0, period + 1):
                 expect_sentence, expect_value = cycle.hypothesis_at(
                     (t0 - 1 + t) % period + 1
@@ -250,8 +251,7 @@ def _check_integer_steps(configs) -> CheckResult:
 def _check_spectral(m_values, rng) -> CheckResult:
     worst = 0.0
     for m in m_values:
-        config = eight_liar() if m == 8 else (one_liar() if m == 1 else simple_liar(m))
-        ev = build_evolution(config)
+        ev = build_evolution(_config_for(m))
         u_d = step_matrix(ev)
         eye = np.eye(ev.size)
         worst = max(worst, float(np.abs(propagator(ev, 1.0) - u_d).max()))
@@ -318,24 +318,22 @@ def _check_completeness(configs, rng) -> CheckResult:
 
 def _check_branch_independence(m_values) -> CheckResult:
     for m in m_values:
-        config = eight_liar() if m == 8 else (one_liar() if m == 1 else simple_liar(m))
-        ev = build_evolution(config)
+        ev = build_evolution(_config_for(m))
         size = ev.size
         flipped = tuple(
             -theta if abs(abs(theta) - np.pi) < 1e-12 else theta
             for theta in principal_phases(size)
         )
-        f = fourier_frame(size)
         u_d = step_matrix(ev)
         power = np.eye(size)
         for t in range(0, size + 1):
-            alt = f @ np.diag(np.exp(1j * np.asarray(flipped) * t)) @ f.conj().T
+            alt = frame_operator(size, np.exp(1j * np.asarray(flipped) * t))
             if np.abs(alt - power).max() > SPECTRAL_TOLERANCE:
                 return CheckResult(
                     "branch-independence", False, f"m={m}: integer step t={t} differs"
                 )
             power = u_d @ power
-        half = f @ np.diag(np.exp(1j * np.asarray(flipped) * 0.5)) @ f.conj().T
+        half = frame_operator(size, np.exp(1j * np.asarray(flipped) * 0.5))
         if np.abs(half - propagator(ev, 0.5)).max() <= SPECTRAL_TOLERANCE:
             return CheckResult(
                 "branch-independence", False, f"m={m}: branch flip had no effect"

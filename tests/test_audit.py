@@ -3,15 +3,17 @@ import json
 import pytest
 
 from liarsim import (
-    AUDIT_BOUND,
     Contradiction,
     OutOfRange,
     Satisfiable,
     UnsupportedDimension,
+    verify_minimality,
+)
+from liarsim.audit import (
+    AUDIT_BOUND,
     build_constraints,
     report_to_json,
     solve_constraints,
-    verify_minimality,
 )
 
 
@@ -116,7 +118,8 @@ def test_minimality_bound():
     with pytest.raises(OutOfRange):
         verify_minimality(AUDIT_BOUND + 1)
     # the bound is a guard, not a hard capability limit
-    assert verify_minimality(6, bound=6).passed
+    assert isinstance(solve_constraints(6, 12), Satisfiable)
+    assert isinstance(solve_constraints(6, 11), Contradiction)
 
 
 def test_report_json():

@@ -16,19 +16,22 @@ import liarsim.verify as verify_mod
 from liarsim import (
     Configuration,
     build_initial_state,
-    canonical_entry_cycle,
-    config_to_json,
     count_paradoxical,
     kappa,
     probability_trace,
     reasoning_cycle,
-    state_from_json,
-    state_to_json,
     trace_to_csv,
 )
 from liarsim.cli import main, parse_sentences, parse_start, parse_time_scale, resolve_config
-from liarsim.evolution import _TRACE_BLOCK, MAX_TRACE_ROWS, grid_size
-from liarsim.statespace import cycle_ranks, cycle_table
+from liarsim.config import MAX_SENTENCES, config_to_json
+from liarsim.evolution import _TRACE_BLOCK_ROWS, MAX_TRACE_ROWS, grid_size
+from liarsim.statespace import (
+    canonical_entry_cycle,
+    cycle_ranks,
+    cycle_table,
+    state_from_json,
+    state_to_json,
+)
 
 from golden import EIGHT_EMBEDDED, EIGHT_TUPLES
 
@@ -50,6 +53,22 @@ def test_count_prints_integers_past_the_int_str_limit(capsys):
 def test_count_rejects_bad_m(capsys):
     assert main(["count", "--m", "0"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_sentence_count_over_the_bound_exits_one(tmp_path, capsys):
+    target = tmp_path / "x"
+    for argv in (
+        ["count", "--m", str(MAX_SENTENCES + 1)],
+        ["state", "--config", f"simple:{MAX_SENTENCES + 1}", "--out", str(target)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"liarsim: error: sentence count {MAX_SENTENCES + 1}"
+            f" exceeds MAX_SENTENCES = {MAX_SENTENCES}"
+        ]
+    assert not target.exists()
 
 
 def test_state_command_writes_reference_state(tmp_path):
@@ -465,8 +484,14 @@ def test_trace_output_matches_reference_at_every_precision(spec, scale, precisio
                            precision=precision)
 
 
+# times per block of a trace of two sentences
+TWO_SENTENCE_BLOCK = _TRACE_BLOCK_ROWS // 2
+
+
 @pytest.mark.parametrize(
-    "count", [1, 2, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1, 2 * _TRACE_BLOCK + 3]
+    "count",
+    [1, 2, TWO_SENTENCE_BLOCK - 1, TWO_SENTENCE_BLOCK, TWO_SENTENCE_BLOCK + 1,
+     2 * TWO_SENTENCE_BLOCK + 3],
 )
 def test_trace_output_matches_reference_across_blocks(count):
     # dt = 0.1 is inexact, so a block that computed its times as lo * dt
@@ -502,9 +527,10 @@ def test_trace_output_matches_reference_on_random_configs(
 # 8,048 rows) or is rejected before any work.
 EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "1.5", "x", ""]
 FUZZ_VALUES = {
-    "--m": EDGE_NUMBERS + ["1", "5"],
+    "--m": EDGE_NUMBERS + ["1", "5", str(MAX_SENTENCES + 1)],
     "--config": [
         "one-liar", "eight-liar", "simple:3", "simple:0", "simple:-1",
+        f"simple:{MAX_SENTENCES + 1}",
         "simple:nan", "simple:1.5", "no-such-file.json", "{",
         '{"m": 1.9, "referent": [1], "negating": [true]}',
         '{"m": 2, "referent": [2, 1], "negating": [true, true]}',

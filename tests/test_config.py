@@ -7,8 +7,6 @@ from liarsim import (
     Configuration,
     NotSingleCycle,
     OutOfRange,
-    config_from_json,
-    config_to_json,
     count_paradoxical,
     eight_liar,
     enumerate_paradoxical,
@@ -17,6 +15,8 @@ from liarsim import (
     simple_liar,
     validate,
 )
+from liarsim.config import MAX_SENTENCES, config_from_json, config_to_json
+from liarsim.statespace import canonical_entry_cycle
 
 from golden import EIGHT_NEGATING, EIGHT_REFERENT, PARADOX_COUNTS
 
@@ -30,6 +30,24 @@ def test_validate_accepts_single_cycles():
 def test_validate_rejects_nonpositive_m():
     with pytest.raises(OutOfRange):
         validate(Configuration(0, (), ()))
+
+
+def test_sentence_count_bound():
+    big = MAX_SENTENCES + 1
+    referent = tuple(i % big + 1 for i in range(1, big + 1))
+    for reject in (
+        lambda: validate(Configuration(big, referent, (True,) * big)),
+        lambda: simple_liar(big),
+        lambda: count_paradoxical(big),
+        lambda: list(enumerate_paradoxical(big)),
+        lambda: canonical_entry_cycle(big),
+    ):
+        with pytest.raises(OutOfRange, match="exceeds MAX_SENTENCES"):
+            reject()
+    assert simple_liar(MAX_SENTENCES).m == MAX_SENTENCES
+    assert count_paradoxical(MAX_SENTENCES) == (
+        math.factorial(MAX_SENTENCES - 1) * 2 ** (MAX_SENTENCES - 1)
+    )
 
 
 def test_validate_rejects_wrong_lengths():
@@ -89,9 +107,6 @@ def test_enumeration_is_deterministic_and_valid():
 def test_enumeration_bound():
     with pytest.raises(BoundExceeded):
         list(enumerate_paradoxical(9))
-    # explicit bound overrides the default
-    got = list(enumerate_paradoxical(3, bound=3))
-    assert len(got) == 8
 
 
 def test_json_round_trip():

@@ -18,18 +18,23 @@ from liarsim import (
     hamiltonian,
     hypothesis_projector,
     one_liar,
-    principal_phases,
     probability_trace,
     projection_probability,
     propagate,
     propagator,
     simple_liar,
     step_matrix,
-    time_grid,
     trace_to_csv,
+)
+from liarsim.evolution import (
+    MAX_TRACE_ROWS,
+    grid_size,
+    principal_phases,
+    time_grid,
+    trace_csv_chunks,
+    trace_row_count,
     trace_to_json,
 )
-from liarsim.evolution import MAX_TRACE_ROWS, grid_size, trace_csv_chunks, trace_row_count
 
 TOL = 1e-10
 

@@ -4,14 +4,12 @@ from liarsim import (
     Configuration,
     NotParadoxical,
     OutOfRange,
-    cycle_from_json,
-    cycle_to_json,
     eight_liar,
-    infer_next,
     one_liar,
     reasoning_cycle,
     simple_liar,
 )
+from liarsim.inference import cycle_from_json, cycle_to_json, infer_next
 
 from golden import EIGHT_SEQUENCE
 

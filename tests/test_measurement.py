@@ -4,11 +4,9 @@ import pytest
 from liarsim import (
     OutOfRange,
     SparseState,
-    apply_projector,
     build_initial_state,
     collapse,
     eight_liar,
-    falsehood_hypothesis_projector,
     hypothesis_projector,
     inference_projector,
     kappa,
@@ -16,6 +14,10 @@ from liarsim import (
     projection_probability,
     simple_liar,
     single_entry_projector,
+)
+from liarsim.measurement import (
+    apply_projector,
+    falsehood_hypothesis_projector,
     truth_hypothesis_projector,
 )
 

@@ -10,18 +10,21 @@ from liarsim import (
     OutOfRange,
     SparseState,
     build_initial_state,
-    canonical_entry_cycle,
     cycle_states,
     eight_liar,
-    interpret_entry,
     kappa,
     kappa_inverse,
     one_liar,
     simple_liar,
+)
+from liarsim.statespace import (
+    canonical_entry_cycle,
+    cycle_ranks,
+    cycle_table,
+    interpret_entry,
     state_from_json,
     state_to_json,
 )
-from liarsim.statespace import cycle_ranks, cycle_table
 
 from golden import EIGHT_EMBEDDED, EIGHT_TUPLES
 
