@@ -173,6 +173,8 @@ def cmd_trace(args) -> int:
     config = resolve_config(args.config)
     if args.gnuplot and (args.out is None or args.out == "-"):
         raise OutOfRange("--gnuplot needs --out so the script can name the data file")
+    if args.gnuplot and os.path.realpath(args.gnuplot) == os.path.realpath(args.out):
+        raise OutOfRange("--gnuplot must name a different file from --out")
     t_max = args.t_max if args.t_max is not None else 2.0 * (2 * config.m) * args.time_scale
     sentences = args.sentences or tuple(range(1, config.m + 1))
     precision = output_precision()

@@ -136,9 +136,32 @@ def config_to_json(config: Configuration) -> str:
     )
 
 
-def _is_json_int(value: object) -> bool:
-    # JSON true/false parse to bool, a subclass of int.
+def is_json_int(value: object) -> bool:
+    """True for a JSON integer; JSON true/false parse to bool, a subclass of
+    int, and are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_fields(obj: object, what: str, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, or OutOfRange when
+    ``obj`` is not an object or lacks one of them; ``what`` names it."""
+    if not isinstance(obj, dict):
+        raise OutOfRange(f"malformed {what}: expected a JSON object")
+    try:
+        return [obj[k] for k in keys]
+    except KeyError as exc:
+        raise OutOfRange(f"malformed {what}: missing {exc}") from None
+
+
+def parse_json_fields(text: str, what: str, keys: tuple[str, ...]) -> list:
+    """``json_fields`` of the JSON document ``text``.  Nesting too deep for
+    the parser is OutOfRange, not RecursionError; text that is not JSON
+    raises json.JSONDecodeError."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise OutOfRange(f"malformed {what}: JSON nested too deeply") from None
+    return json_fields(obj, what, keys)
 
 
 def config_from_json(text: str) -> Configuration:
@@ -147,23 +170,14 @@ def config_from_json(text: str) -> Configuration:
     Strict: ``m`` and every referent must be JSON integers and every
     ``negating`` entry a JSON boolean; nothing is coerced.
     """
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise OutOfRange("malformed configuration object: expected a JSON object")
-    try:
-        m, referent, negating = obj["m"], obj["referent"], obj["negating"]
-    except KeyError as exc:
-        raise OutOfRange(f"malformed configuration object: missing {exc}") from exc
-    if not _is_json_int(m):
-        raise OutOfRange(f"malformed configuration object: m must be an integer, got {m!r}")
-    if not (isinstance(referent, list) and all(_is_json_int(r) for r in referent)):
-        raise OutOfRange(
-            "malformed configuration object: referent must be a list of integers"
-        )
+    what = "configuration object"
+    m, referent, negating = parse_json_fields(text, what, ("m", "referent", "negating"))
+    if not is_json_int(m):
+        raise OutOfRange(f"malformed {what}: m must be an integer, got {m!r}")
+    if not (isinstance(referent, list) and all(is_json_int(r) for r in referent)):
+        raise OutOfRange(f"malformed {what}: referent must be a list of integers")
     if not (isinstance(negating, list) and all(isinstance(b, bool) for b in negating)):
-        raise OutOfRange(
-            "malformed configuration object: negating must be a list of booleans"
-        )
+        raise OutOfRange(f"malformed {what}: negating must be a list of booleans")
     return validate(Configuration(m, tuple(referent), tuple(negating)))
 
 

@@ -37,7 +37,6 @@ basis (which is why the unreasoned initial state is time invariant).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -94,8 +93,8 @@ def _check_finite_time(tau: float) -> None:
 class SubspaceEvolution:
     """Spectral description of one reasoning step on the cycle basis.
 
-    ``basis`` lists the 2m cycle states in step order; ``step_perm[t]`` is
-    the basis position one step after position t.  With the unitary frame
+    ``basis`` lists the 2m cycle states in step order, and one step moves
+    position t to (t + 1) mod 2m.  With the unitary frame
     F = ``fourier_frame(size)``, ``eigenphases`` satisfy
     U_D = F diag(exp(i*theta)) F^dagger exactly.
     """
@@ -103,7 +102,6 @@ class SubspaceEvolution:
     m: int
     n: int
     basis: tuple[TensorIndex, ...]
-    step_perm: tuple[int, ...]
     eigenphases: tuple[float, ...]
     positions: dict[TensorIndex, int] = field(init=False, repr=False, compare=False)
 
@@ -126,25 +124,21 @@ class SubspaceEvolution:
 
 
 def build_evolution(config: Configuration) -> SubspaceEvolution:
-    """Assemble basis, step permutation and analytic eigenphases."""
+    """Assemble basis and analytic eigenphases."""
     config = validate(config)
     basis = cycle_states(config)
-    size = len(basis)
     return SubspaceEvolution(
         m=config.m,
         n=2 * config.m,
         basis=basis,
-        step_perm=tuple((t + 1) % size for t in range(size)),
-        eigenphases=principal_phases(size),
+        eigenphases=principal_phases(len(basis)),
     )
 
 
 def step_matrix(ev: SubspaceEvolution) -> np.ndarray:
-    """The step permutation as a dense matrix on the cycle basis."""
-    u = np.zeros((ev.size, ev.size))
-    for t, succ in enumerate(ev.step_perm):
-        u[succ, t] = 1.0
-    return u
+    """The step permutation as a dense matrix on the cycle basis: column t
+    holds a 1 in row (t + 1) mod size."""
+    return np.roll(np.eye(ev.size), 1, axis=0)
 
 
 def hamiltonian(ev: SubspaceEvolution) -> np.ndarray:
@@ -424,13 +418,3 @@ def trace_csv_chunks(
             yield (row * len(t)) % tuple(values.ravel().tolist())
 
     return chunks()
-
-
-def trace_to_json(rows: tuple[TraceRow, ...] | list[TraceRow]) -> str:
-    """Render rows as a JSON array of row objects."""
-    return json.dumps(
-        [
-            {"t": r.t, "sentence": r.sentence, "p_true": r.p_true, "p_false": r.p_false}
-            for r in rows
-        ]
-    )

@@ -10,7 +10,6 @@ discrete evolution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .config import Configuration, check_sentence, validate
@@ -36,9 +35,7 @@ class ReasoningCycle:
     positions: dict[tuple[int, bool], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # reversed: should a cycle read from JSON repeat a hypothesis, its
-        # first occurrence wins, as in a scan of the steps
-        positions = {(s.sentence, s.value): s.step for s in reversed(self.steps)}
+        positions = {(s.sentence, s.value): s.step for s in self.steps}
         object.__setattr__(self, "positions", positions)
 
     def step_of(self, sentence: int, value: bool) -> int:
@@ -90,24 +87,3 @@ def reasoning_cycle(
             )
         steps.append(HypothesisStep(k, sentence, value))
     return ReasoningCycle(m, tuple(steps))
-
-
-def cycle_to_json(cycle: ReasoningCycle) -> str:
-    """Serialize as a JSON array of {"step", "sentence", "value": "T"|"F"}."""
-    return json.dumps(
-        [
-            {"step": s.step, "sentence": s.sentence, "value": "T" if s.value else "F"}
-            for s in cycle.steps
-        ]
-    )
-
-
-def cycle_from_json(text: str) -> ReasoningCycle:
-    items = json.loads(text)
-    steps = tuple(
-        HypothesisStep(int(o["step"]), int(o["sentence"]), o["value"] == "T")
-        for o in items
-    )
-    if len(steps) % 2 != 0 or not steps:
-        raise OutOfRange(f"cycle length {len(steps)} is not a positive even number")
-    return ReasoningCycle(len(steps) // 2, steps)

@@ -35,20 +35,10 @@ def single_entry_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
     return ProjectorSpec(sentence, frozenset((entry,)))
 
 
-def truth_hypothesis_projector(sentence: int, m: int) -> ProjectorSpec:
-    """Projector onto "sentence is true by hypothesis" (entry 2m-1)."""
-    return single_entry_projector(sentence, 2 * m - 1, m)
-
-
-def falsehood_hypothesis_projector(sentence: int, m: int) -> ProjectorSpec:
-    """Projector onto "sentence is false by hypothesis" (entry 2m)."""
-    return single_entry_projector(sentence, 2 * m, m)
-
-
 def hypothesis_projector(sentence: int, value: bool, m: int) -> ProjectorSpec:
-    if value:
-        return truth_hypothesis_projector(sentence, m)
-    return falsehood_hypothesis_projector(sentence, m)
+    """Projector onto "sentence is true by hypothesis" (entry 2m-1) when
+    ``value`` is True, "false by hypothesis" (entry 2m) when it is False."""
+    return single_entry_projector(sentence, 2 * m - 1 if value else 2 * m, m)
 
 
 def inference_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
@@ -76,11 +66,6 @@ def _kept(p: ProjectorSpec, state: SparseState) -> dict[TensorIndex, complex]:
     }
 
 
-def apply_projector(p: ProjectorSpec, state: SparseState) -> SparseState:
-    """Raw (non-renormalized) projection of ``state`` by ``p``."""
-    return SparseState(state.m, state.n, _kept(p, state))
-
-
 def projection_probability(state: SparseState, p: ProjectorSpec) -> float:
     """Squared norm of the raw projection of ``state`` by ``p``."""
     return sum(abs(a) ** 2 for a in _kept(p, state).values())
@@ -96,7 +81,7 @@ def collapse(
     the raw projection is returned unchanged.  A null projection yields the
     null state with probability 0.0 rather than an error.
     """
-    projected = apply_projector(p, state)
+    projected = SparseState(state.m, state.n, _kept(p, state))
     probability = projected.norm() ** 2
     if probability == 0.0:
         return SparseState(state.m, state.n, {}), 0.0

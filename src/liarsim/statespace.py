@@ -54,7 +54,13 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .config import Configuration, check_sentence_count
+from .config import (
+    Configuration,
+    check_sentence_count,
+    is_json_int,
+    json_fields,
+    parse_json_fields,
+)
 from .errors import OutOfRange
 from .inference import reasoning_cycle
 
@@ -181,33 +187,6 @@ def cycle_ranks(table: np.ndarray) -> list[str]:
 
 
 @dataclass(frozen=True)
-class EntryMeaning:
-    """Decoded meaning of one entry value on one sentence factor.
-
-    ``steps_until_hypothesis`` counts the inference steps until the sentence
-    is formally hypothesized with this truth value; it is 0 for the two
-    hypothesis entries themselves.
-    """
-
-    kind: str  # "true_by_hypothesis" | "false_by_hypothesis" | "true_by_inference" | "false_by_inference"
-    value: bool
-    steps_until_hypothesis: int
-
-
-def interpret_entry(j: int, m: int) -> EntryMeaning:
-    """Decode entry value ``j`` of a sentence factor with n = 2m entries."""
-    if j == 2 * m - 1:
-        return EntryMeaning("true_by_hypothesis", True, 0)
-    if j == 2 * m:
-        return EntryMeaning("false_by_hypothesis", False, 0)
-    if 1 <= j <= m - 1:
-        return EntryMeaning("true_by_inference", True, j)
-    if m <= j <= 2 * (m - 1):
-        return EntryMeaning("false_by_inference", False, j + 1 - m)
-    raise OutOfRange(f"entry {j} outside 1..{2 * m}")
-
-
-@dataclass(frozen=True)
 class SparseState:
     """A vector in the n^m-dimensional product space, stored as a map from
     tensor tuple to complex amplitude.
@@ -327,17 +306,30 @@ def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = No
 
 
 def state_from_json(text: str) -> SparseState:
-    """Parse the form written by state_to_json; unknown top-level keys are
-    ignored.  The redundant embedded index is checked against the tuple."""
-    obj = json.loads(text)
-    m, n = int(obj["m"]), int(obj["n"])
+    """Parse the document written by ``write_state_json``, as strictly as
+    ``config_from_json`` parses a configuration: ``m``, ``n`` and every tuple
+    entry are JSON integers, ``embedded`` is a string equal to the tuple's
+    rank, ``re`` and ``im`` are JSON numbers, and no tuple repeats.  Nothing
+    is coerced, every fault raises OutOfRange, and unknown keys are ignored.
+    """
+    what = "state document"
+    m, n, terms = parse_json_fields(text, what, ("m", "n", "terms"))
+    if not (is_json_int(m) and is_json_int(n) and isinstance(terms, list)):
+        raise OutOfRange(f"malformed {what}: m and n must be integers, terms a list")
     amps: dict[TensorIndex, complex] = {}
-    for term in obj["terms"]:
-        idx = tuple(int(e) for e in term["tuple"])
-        embedded = str(term["embedded"])
-        if decimal_string(kappa(idx, n)) != embedded:
-            raise OutOfRange(
-                f"term {idx} disagrees with its embedded index {embedded}"
-            )
-        amps[idx] = complex(float(term["re"]), float(term["im"]))
+    for term in terms:
+        idx, embedded, re, im = json_fields(term, what, ("tuple", "embedded", "re", "im"))
+        if not (isinstance(idx, list) and all(is_json_int(e) for e in idx)):
+            raise OutOfRange(f"malformed {what}: tuple {idx!r} is not a list of integers")
+        idx = tuple(idx)
+        if idx in amps:
+            raise OutOfRange(f"malformed {what}: tuple {idx} repeats")
+        if not isinstance(embedded, str) or decimal_string(kappa(idx, n)) != embedded:
+            raise OutOfRange(f"term {idx} disagrees with its embedded index {embedded!r}")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+            raise OutOfRange(f"malformed {what}: re and im of {idx} must be numbers")
+        try:
+            amps[idx] = complex(re, im)
+        except OverflowError:
+            raise OutOfRange(f"malformed {what}: amplitude of {idx} overflows") from None
     return SparseState(m, n, amps)

@@ -172,6 +172,7 @@ def test_state_export_matches_reference_on_random_configs(config):
     assert cycle_ranks(table) == [str(kappa(tuple(row))) for row in table.tolist()]
     state = build_initial_state(config)
     assert state_from_json(state_to_json(state)) == state
+    assert state_from_json(out.getvalue()) == state
 
 
 def test_trace_command_output(tmp_path):
@@ -282,6 +283,21 @@ def test_trace_gnuplot_requires_out(capsys):
     assert "needs --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gnuplot", ["same.csv", "./same.csv"])
+def test_trace_gnuplot_onto_the_csv_is_rejected(gnuplot, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    same = tmp_path / "same.csv"
+    same.write_bytes(b"t,sentence,p_true,p_false\n")
+    args = ["trace", "--config", "one-liar", "--out", "same.csv", "--gnuplot", gnuplot]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "liarsim: error: --gnuplot must name a different file from --out"
+    ]
+    assert same.read_bytes() == b"t,sentence,p_true,p_false\n"
+
+
 def test_trace_raw_collapse_flag(tmp_path):
     out = tmp_path / "raw.csv"
     args = [
@@ -328,17 +344,21 @@ def test_trace_rejects_non_finite_time_parameters(extra, capsys):
     assert len(captured.err.splitlines()) == 1 and "error" in captured.err
 
 
+def _cli_env():
+    """The environment for running the CLI of this checkout in a subprocess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _pipe_closed_early(argv):
     """Run the CLI with ``argv`` in a subprocess, read 10 bytes of its
     stdout, close the pipe, and return (exit code, stderr bytes)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.Popen(
         [sys.executable, "-m", "liarsim.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
@@ -361,6 +381,27 @@ def test_trace_reader_closing_the_pipe_early_is_not_an_error():
     code, err = _pipe_closed_early(["trace", "--config", "simple:64"])
     assert code == 0
     assert err == b""
+
+
+def test_config_file_nested_too_deeply_exits_one_in_one_line(tmp_path):
+    # the parser's recursion limit, not a traceback, ends the run
+    config = tmp_path / "deep.json"
+    config.write_text('{"m": ' + "[" * 50000)
+    target = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liarsim.cli", "trace", "--config", str(config),
+         "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "liarsim: error: malformed configuration object: JSON nested too deeply"
+    ]
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(
@@ -534,6 +575,7 @@ FUZZ_VALUES = {
         "simple:nan", "simple:1.5", "no-such-file.json", "{",
         '{"m": 1.9, "referent": [1], "negating": [true]}',
         '{"m": 2, "referent": [2, 1], "negating": [true, true]}',
+        '{"m": ' + "[" * 50000,
     ],
     "--start": ["1:T", "2:F", "9:T", "0:T", "-1:F", "1:X", "x"],
     "--t-max": EDGE_NUMBERS,

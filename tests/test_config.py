@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -139,6 +140,13 @@ def test_json_rejects_malformed_and_invalid():
 def test_json_requires_exact_types(text):
     with pytest.raises(OutOfRange):
         config_from_json(text)
+
+
+def test_json_nested_too_deeply_is_out_of_range():
+    with pytest.raises(OutOfRange, match="nested too deeply"):
+        config_from_json('{"m": ' + "[" * 50000)
+    with pytest.raises(json.JSONDecodeError):
+        config_from_json("{")
 
 
 def test_named_configurations():

@@ -33,7 +33,6 @@ from liarsim.evolution import (
     time_grid,
     trace_csv_chunks,
     trace_row_count,
-    trace_to_json,
 )
 
 TOL = 1e-10
@@ -62,7 +61,10 @@ def test_build_evolution_layout():
     ev = build_evolution(config)
     assert ev.basis == cycle_states(config)
     assert ev.size == 16
-    assert ev.step_perm == tuple((t + 1) % 16 for t in range(16))
+    u = step_matrix(ev)
+    assert [np.flatnonzero(u[:, t]).tolist() for t in range(16)] == [
+        [(t + 1) % 16] for t in range(16)
+    ]
     assert ev.position(ev.basis[3]) == 3
     with pytest.raises(SupportOutsideSubspace):
         ev.position((1,) * 8)
@@ -361,17 +363,3 @@ def test_trace_csv_precision():
     narrow = trace_to_csv(rows, precision=3).splitlines()[-1]
     assert narrow == "0.25,1,0.854,0.146"
     assert len(wide) > len(narrow)
-
-
-def test_trace_json_round_trips_rows():
-    import json
-
-    rows = probability_trace(one_liar(), (1, True), (0.0, 1.0))
-    doc = json.loads(trace_to_json(rows))
-    assert doc[0] == {
-        "t": rows[0].t,
-        "sentence": 1,
-        "p_true": rows[0].p_true,
-        "p_false": rows[0].p_false,
-    }
-    assert len(doc) == len(rows)

@@ -9,7 +9,7 @@ from liarsim import (
     reasoning_cycle,
     simple_liar,
 )
-from liarsim.inference import cycle_from_json, cycle_to_json, infer_next
+from liarsim.inference import infer_next
 
 from golden import EIGHT_SEQUENCE
 
@@ -87,14 +87,3 @@ def test_lookup_helpers():
     # cyclic continuation past one period
     assert cycle.hypothesis_at(17) == (1, True)
     assert cycle.hypothesis_at(16 + 9) == (1, False)
-
-
-def test_cycle_json_round_trip():
-    cycle = reasoning_cycle(eight_liar())
-    again = cycle_from_json(cycle_to_json(cycle))
-    assert again == cycle
-
-
-def test_cycle_json_rejects_odd_length():
-    with pytest.raises(OutOfRange):
-        cycle_from_json('[{"step": 1, "sentence": 1, "value": "T"}]')

@@ -15,19 +15,14 @@ from liarsim import (
     simple_liar,
     single_entry_projector,
 )
-from liarsim.measurement import (
-    apply_projector,
-    falsehood_hypothesis_projector,
-    truth_hypothesis_projector,
-)
 
 
 def test_projector_entry_sets():
     m = 4
-    assert truth_hypothesis_projector(2, m).entry_set == frozenset({7})
-    assert falsehood_hypothesis_projector(2, m).entry_set == frozenset({8})
-    assert hypothesis_projector(3, True, m) == truth_hypothesis_projector(3, m)
-    assert hypothesis_projector(3, False, m) == falsehood_hypothesis_projector(3, m)
+    assert hypothesis_projector(2, True, m).entry_set == frozenset({7})
+    assert hypothesis_projector(2, False, m).entry_set == frozenset({8})
+    assert hypothesis_projector(3, True, m) == single_entry_projector(3, 7, m)
+    assert hypothesis_projector(3, False, m) == single_entry_projector(3, 8, m)
     assert single_entry_projector(1, 5, m).entry_set == frozenset({5})
 
 
@@ -48,15 +43,18 @@ def test_projector_validation():
         single_entry_projector(3, 1, 2)
     with pytest.raises(OutOfRange):
         single_entry_projector(1, 5, 2)
+    with pytest.raises(OutOfRange):
+        hypothesis_projector(2, True, 1)
     state = build_initial_state(one_liar())
     with pytest.raises(OutOfRange):
-        apply_projector(single_entry_projector(2, 1, 2), state)
+        collapse(state, single_entry_projector(2, 1, 2), renormalize=False)
 
 
-def test_apply_projector_filters_support():
+def test_raw_collapse_filters_support():
     state = build_initial_state(eight_liar())
-    kept = apply_projector(truth_hypothesis_projector(1, 8), state)
-    assert list(kept.amplitudes) == [(15, 10, 8, 12, 7, 13, 4, 9)]
+    kept, _ = collapse(state, hypothesis_projector(1, True, 8), renormalize=False)
+    idx = (15, 10, 8, 12, 7, 13, 4, 9)
+    assert kept.amplitudes == {idx: state.amplitudes[idx]}
 
 
 def test_uniform_hypothesis_probabilities():
@@ -81,7 +79,7 @@ def test_collapse_renormalizes_by_default():
 
 def test_collapse_of_orthogonal_support_is_null():
     state = SparseState(1, 2, {(1,): 1.0})
-    null, p = collapse(state, falsehood_hypothesis_projector(1, 1))
+    null, p = collapse(state, hypothesis_projector(1, False, 1))
     assert p == 0.0
     assert null.is_null
 
@@ -127,7 +125,7 @@ def test_sparse_projection_matches_dense_tensor_product(m):
         for j in range(1, n + 1):
             spec = single_entry_projector(i, j, m)
             dense = _dense_projector(spec, m, n) @ vec
-            sparse = _dense_vector(apply_projector(spec, state))
+            sparse = _dense_vector(collapse(state, spec, renormalize=False)[0])
             assert np.abs(dense - sparse).max() < 1e-15
             p = projection_probability(state, spec)
             assert p == pytest.approx(float(np.vdot(dense, dense).real), abs=1e-15)

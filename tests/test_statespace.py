@@ -15,13 +15,13 @@ from liarsim import (
     kappa,
     kappa_inverse,
     one_liar,
+    reasoning_cycle,
     simple_liar,
 )
 from liarsim.statespace import (
     canonical_entry_cycle,
     cycle_ranks,
     cycle_table,
-    interpret_entry,
     state_from_json,
     state_to_json,
 )
@@ -111,52 +111,20 @@ def test_cycle_states_have_no_degenerate_entries(m):
         assert column == list(range(1, 2 * m + 1))
 
 
-def test_interpret_entry_meanings():
-    m = 4
-    top = interpret_entry(7, m)
-    assert (top.kind, top.value, top.steps_until_hypothesis) == (
-        "true_by_hypothesis",
-        True,
-        0,
-    )
-    bottom = interpret_entry(8, m)
-    assert (bottom.kind, bottom.value) == ("false_by_hypothesis", False)
-    for j in range(1, m):
-        meaning = interpret_entry(j, m)
-        assert (meaning.kind, meaning.value) == ("true_by_inference", True)
-        assert meaning.steps_until_hypothesis == j
-    for j in range(m, 2 * m - 1):
-        meaning = interpret_entry(j, m)
-        assert (meaning.kind, meaning.value) == ("false_by_inference", False)
-        assert meaning.steps_until_hypothesis == j + 1 - m
-    with pytest.raises(OutOfRange):
-        interpret_entry(0, m)
-    with pytest.raises(OutOfRange):
-        interpret_entry(9, m)
-
-
-def test_interpret_entry_one_sentence_has_only_hypotheses():
-    assert interpret_entry(1, 1).kind == "true_by_hypothesis"
-    assert interpret_entry(2, 1).kind == "false_by_hypothesis"
-
-
 def test_cycle_state_entries_decode_consistently():
-    # at every step the hypothesized sentence carries a hypothesis entry
-    # matching the walk's value, every other sentence an inference entry
-    from liarsim import reasoning_cycle
-
-    config = eight_liar()
-    cycle = reasoning_cycle(config)
-    states = cycle_states(config)
-    for t, state in enumerate(states, start=1):
-        sentence, value = cycle.hypothesis_at(t)
-        for i in range(1, config.m + 1):
-            meaning = interpret_entry(state[i - 1], config.m)
-            if i == sentence:
-                assert meaning.steps_until_hypothesis == 0
-                assert meaning.value is value
-            else:
-                assert meaning.steps_until_hypothesis > 0
+    # at every step the hypothesized sentence carries the hypothesis entry of
+    # the walk's value (2m-1 true, 2m false), every other sentence an
+    # inference entry (1..2m-2)
+    for config in (one_liar(), simple_liar(3), eight_liar()):
+        m = config.m
+        cycle = reasoning_cycle(config)
+        for t, state in enumerate(cycle_states(config), start=1):
+            sentence, value = cycle.hypothesis_at(t)
+            for i in range(1, m + 1):
+                if i == sentence:
+                    assert state[i - 1] == (2 * m - 1 if value else 2 * m)
+                else:
+                    assert state[i - 1] <= 2 * m - 2
 
 
 def test_sparse_state_basics():
@@ -262,3 +230,54 @@ def test_state_json_is_json_dumps_with_indent():
 def test_state_json_round_trip_past_the_int_str_limit():
     state = SparseState(1300, 2600, {(2600,) * 1300: 1.0})  # rank 2600^1300
     assert state_from_json(state_to_json(state)) == state
+
+
+_TERM = {"tuple": [1], "embedded": "1", "re": 0.5, "im": 0.0}
+
+
+def _state_doc(**changes):
+    return {"m": 1, "n": 2, "terms": [_TERM], **changes}
+
+
+def _state_term(**changes):
+    return _state_doc(terms=[{**_TERM, **changes}])
+
+
+def test_state_reader_accepts_the_well_formed_document():
+    assert state_from_json(json.dumps(_state_doc())) == SparseState(1, 2, {(1,): 0.5})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _state_doc(m=1.9),
+        _state_doc(n="2"),
+        _state_doc(n=True),
+        _state_term(tuple=[True]),
+        _state_term(tuple=[1.0]),
+        _state_term(embedded=1),
+        _state_term(re="0.5"),
+        _state_term(im=False),
+        _state_term(re=10**400),
+        _state_doc(terms={}),
+        _state_doc(terms=[[1]]),
+        [_state_doc()],
+        {"m": 1, "n": 2},
+        _state_doc(terms=[_TERM, _TERM]),
+    ],
+    ids=[
+        "m-float", "n-string", "n-bool", "entry-bool", "entry-float",
+        "embedded-int", "re-string", "im-bool", "re-overflows", "terms-object",
+        "term-not-object", "top-level-list", "missing-key", "repeated-tuple",
+    ],
+)
+def test_state_reader_rejects_malformed_documents(doc):
+    with pytest.raises(OutOfRange):
+        state_from_json(json.dumps(doc))
+
+
+def test_state_reader_errors_match_the_config_reader():
+    with pytest.raises(OutOfRange, match="nested too deeply"):
+        state_from_json('{"m": ' + "[" * 50000)
+    with pytest.raises(json.JSONDecodeError):
+        state_from_json("{")
