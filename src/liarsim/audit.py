@@ -13,8 +13,9 @@ The audit never touches all n^m amplitudes.  Projector coefficients are
 binary (a diagonal projector either keeps an entry or kills it) and outcome
 coefficients are carried as opaque positive symbols, so every scalar
 component equation is a product of at most two unknowns and propagation
-needs only the tuples that appear as some operator's target.  Contradiction
-is therefore exact, not a numerical judgement.
+needs only the tuples that appear as some operator's target, so the solver
+walks (operator, target) pairs straight from the operator list.
+Contradiction is therefore exact, not a numerical judgement.
 """
 
 from __future__ import annotations
@@ -29,51 +30,18 @@ from .statespace import TensorIndex
 AUDIT_BOUND = 4
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One scalar component equation: coefficient * amplitude(target) = rhs.
-
-    ``family`` is "tau" for a truth projector coefficient and "phi" for a
-    falsehood one; ``entry`` is the entry the coefficient gates and
-    ``sentence`` the operator's sentence.  ``outcome`` names the positive
-    symbol on the right-hand side for an anchor equation and is None for a
-    zero product.
-    """
-
-    family: str
-    entry: int
-    sentence: int
-    target: TensorIndex
-    outcome: str | None
-
-    def coefficient_name(self) -> str:
-        return f"{self.family}[{self.entry},{self.sentence}]"
-
-    def amplitude_name(self) -> str:
-        return "alpha(" + ",".join(str(x) for x in self.target) + ")"
-
-    def product_name(self) -> str:
-        return f"{self.coefficient_name()}*{self.amplitude_name()}"
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """The 2m operator equations expanded over the materialized tuples.
-
-    ``anchors`` holds the target component of each operator equation;
-    ``zero_products`` holds every other component, ordered operator first
-    (truth operators by sentence, then falsehood operators by sentence) and
-    target tuple second, which is the order propagation consumes them in.
-    """
-
-    m: int
-    n: int
-    targets: tuple[TensorIndex, ...]
-    anchors: tuple[Constraint, ...]
-    zero_products: tuple[Constraint, ...]
-
-
 def _operator_targets(m: int, n: int) -> tuple[tuple[str, int, TensorIndex, str], ...]:
+    """The 2m operators as (family, sentence, target, outcome): "tau" truth
+    operators by sentence, then "phi" falsehood operators by sentence, for
+    sentence dimension n, which must be 2m or 2m - 1."""
+    if m < 1:
+        raise OutOfRange(f"need m >= 1, got {m}")
+    if n not in (2 * m, 2 * m - 1):
+        raise UnsupportedDimension(
+            f"audit covers n = 2m and n = 2m-1 only, got n={n} for m={m}"
+        )
+    if n == 2 * m - 1 and m < 2:
+        raise OutOfRange("the reduced-dimension system needs m >= 2 distinct entries")
     ops = []
     for i in range(1, m + 1):
         ops.append(("tau", i, (i,) * m, f"t{i}"))
@@ -89,36 +57,9 @@ def _operator_targets(m: int, n: int) -> tuple[tuple[str, int, TensorIndex, str]
     return tuple(ops)
 
 
-def build_constraints(m: int, n: int) -> ConstraintSystem:
-    """Materialize the anchor equations and the zero products among their
-    targets for sentence dimension n, which must be 2m or 2m - 1."""
-    if m < 1:
-        raise OutOfRange(f"need m >= 1, got {m}")
-    if n not in (2 * m, 2 * m - 1):
-        raise UnsupportedDimension(
-            f"audit covers n = 2m and n = 2m-1 only, got n={n} for m={m}"
-        )
-    if n == 2 * m - 1 and m < 2:
-        raise OutOfRange("the reduced-dimension system needs m >= 2 distinct entries")
-
-    ops = _operator_targets(m, n)
-    targets = tuple(t for _, _, t, _ in ops)
-    anchors = tuple(
-        Constraint(fam, target[i - 1], i, target, outcome)
-        for fam, i, target, outcome in ops
-    )
-    zero_products = []
-    for fam, i, own_target, _ in ops:
-        for other in targets:
-            if other == own_target:
-                continue
-            zero_products.append(Constraint(fam, other[i - 1], i, other, None))
-    return ConstraintSystem(m, n, targets, anchors, tuple(zero_products))
-
-
 @dataclass(frozen=True)
 class Satisfiable:
-    """Unique assignment satisfying every materialized equation."""
+    """Unique assignment satisfying every operator equation."""
 
     m: int
     n: int
@@ -147,60 +88,63 @@ class Contradiction:
 
 
 def solve_constraints(m: int, n: int) -> Satisfiable | Contradiction:
-    """Propagate the materialized constraint system to a verdict.
+    """Propagate the operator equations to a verdict.
 
-    Each anchor pins its coefficient to 1 and its amplitude to a positive
-    symbol (a product of binary-by-construction coefficients can only reach
-    a positive value with both factors live).  Zero products then force the
+    Each anchor (an operator's own target) pins its coefficient to 1 and its
+    amplitude to a positive symbol (a product of binary-by-construction
+    coefficients can only reach a positive value with both factors live).
+    Zero products, operator first and other target second, then force the
     remaining unknowns to 0, unless a product's two factors are both already
     pinned nonzero, in which case the derivation stops with that product and
     the two facts behind it as the witness.
     """
-    system = build_constraints(m, n)
+    ops = _operator_targets(m, n)
+    alpha = {t: "alpha(" + ",".join(str(x) for x in t) + ")" for _, _, t, _ in ops}
     coeff: dict[str, int] = {}
     amp: dict[TensorIndex, str] = {}
     anchor_fact: dict[TensorIndex, str] = {}
-    coeff_fact: dict[str, str] = {}
     transcript = []
 
-    for c in system.anchors:
-        name = c.coefficient_name()
+    for family, i, target, outcome in ops:
+        name = f"{family}[{target[i - 1]},{i}]"
         coeff[name] = 1
-        amp[c.target] = c.outcome
-        fact = f"{name} = 1 and {c.amplitude_name()} = {c.outcome} > 0"
-        anchor_fact[c.target] = fact
-        coeff_fact[name] = f"{name} = 1"
+        amp[target] = outcome
+        fact = f"{name} = 1 and {alpha[target]} = {outcome} > 0"
+        anchor_fact[target] = fact
         transcript.append(f"anchor: {fact}")
 
-    for c in system.zero_products:
-        name = c.coefficient_name()
-        cval = coeff.get(name)
-        aval = amp.get(c.target)
-        amp_live = aval is not None and aval != "0"
-        if cval == 1 and amp_live:
-            witness = ContradictionWitness(
-                nonzero_amplitude=anchor_fact[c.target],
-                unit_coefficient=coeff_fact[name],
-                violated_zero_product=f"{c.product_name()} = 0",
-            )
-            transcript.append(
-                f"violated: {c.product_name()} = 0 while {witness.unit_coefficient}"
-                f" and {witness.nonzero_amplitude}"
-            )
-            return Contradiction(m, n, witness, tuple(transcript))
-        if amp_live and cval is None:
-            coeff[name] = 0
-            transcript.append(
-                f"zero product {c.product_name()} = 0 with {aval} > 0,"
-                f" so {name} = 0"
-            )
-        elif cval == 1 and aval is None:
-            amp[c.target] = "0"
-            transcript.append(
-                f"zero product {c.product_name()} = 0 with {name} = 1,"
-                f" so {c.amplitude_name()} = 0"
-            )
-        # a product with a factor already pinned to zero holds as is
+    for family, i, own_target, _ in ops:
+        for _, _, target, _ in ops:
+            if target == own_target:
+                continue
+            name = f"{family}[{target[i - 1]},{i}]"
+            product = f"{name}*{alpha[target]}"
+            cval = coeff.get(name)
+            aval = amp.get(target)
+            amp_live = aval is not None and aval != "0"
+            if cval == 1 and amp_live:
+                witness = ContradictionWitness(
+                    nonzero_amplitude=anchor_fact[target],
+                    unit_coefficient=f"{name} = 1",
+                    violated_zero_product=f"{product} = 0",
+                )
+                transcript.append(
+                    f"violated: {product} = 0 while {witness.unit_coefficient}"
+                    f" and {witness.nonzero_amplitude}"
+                )
+                return Contradiction(m, n, witness, tuple(transcript))
+            if amp_live and cval is None:
+                coeff[name] = 0
+                transcript.append(
+                    f"zero product {product} = 0 with {aval} > 0, so {name} = 0"
+                )
+            elif cval == 1 and aval is None:
+                amp[target] = "0"
+                transcript.append(
+                    f"zero product {product} = 0 with {name} = 1,"
+                    f" so {alpha[target]} = 0"
+                )
+            # a product with a factor already pinned to zero holds as is
 
     return Satisfiable(m, n, dict(coeff), dict(amp), tuple(transcript))
 

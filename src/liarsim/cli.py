@@ -35,6 +35,9 @@ from .verify import all_passed, run_verification
 
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "LIARSIM_PRECISION"
+# Longest --config file read, in characters (/dev/zero must not fill memory);
+# a 4,096-sentence configuration is under 200 KB even when indented.
+MAX_CONFIG_BYTES = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +63,10 @@ def resolve_config(spec: str) -> Configuration:
     if text.startswith("{"):
         return config_from_json(text)
     with open(spec, encoding="utf-8") as fh:
-        return config_from_json(fh.read())
+        text = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(text) > MAX_CONFIG_BYTES:
+        raise OutOfRange(f"config file is longer than {MAX_CONFIG_BYTES} characters")
+    return config_from_json(text)
 
 
 def parse_start(text: str) -> tuple[int, bool]:
@@ -146,6 +152,7 @@ def cmd_state(args) -> int:
 
 
 def _gnuplot_script(csv_path: str, sentences: tuple[int, ...]) -> str:
+    quoted = csv_path.replace("'", "''")  # gnuplot's escape inside '...'
     lines = [
         f"# companion plot for {csv_path}",
         "set datafile separator ','",
@@ -157,11 +164,11 @@ def _gnuplot_script(csv_path: str, sentences: tuple[int, ...]) -> str:
     plots = []
     for i in sentences:
         plots.append(
-            f"'{csv_path}' using 1:($2 == {i} ? $3 : 1/0) with lines"
+            f"'{quoted}' using 1:($2 == {i} ? $3 : 1/0) with lines"
             f" title 'sentence {i} true'"
         )
         plots.append(
-            f"'{csv_path}' using 1:($2 == {i} ? $4 : 1/0) with lines"
+            f"'{quoted}' using 1:($2 == {i} ? $4 : 1/0) with lines"
             f" title 'sentence {i} false'"
         )
     lines.append("plot \\")
@@ -173,6 +180,8 @@ def cmd_trace(args) -> int:
     config = resolve_config(args.config)
     if args.gnuplot and (args.out is None or args.out == "-"):
         raise OutOfRange("--gnuplot needs --out so the script can name the data file")
+    if args.gnuplot and "\n" in args.out:
+        raise OutOfRange("--out must not contain a newline when --gnuplot is given")
     if args.gnuplot and os.path.realpath(args.gnuplot) == os.path.realpath(args.out):
         raise OutOfRange("--gnuplot must name a different file from --out")
     t_max = args.t_max if args.t_max is not None else 2.0 * (2 * config.m) * args.time_scale

@@ -9,37 +9,42 @@ from liarsim import (
     UnsupportedDimension,
     verify_minimality,
 )
-from liarsim.audit import (
-    AUDIT_BOUND,
-    build_constraints,
-    report_to_json,
-    solve_constraints,
-)
+from liarsim.audit import AUDIT_BOUND, report_to_json, solve_constraints
 
 
-def test_build_constraints_shape():
-    system = build_constraints(2, 4)
-    assert system.m == 2 and system.n == 4
-    assert system.targets == ((1, 1), (2, 2), (3, 3), (4, 4))
-    assert len(system.anchors) == 4
+def test_solve_constraints_shape():
+    sat = solve_constraints(2, 4)
+    assert (sat.m, sat.n) == (2, 4)
+    assert sat.transcript[:4] == (
+        "anchor: tau[1,1] = 1 and alpha(1,1) = t1 > 0",
+        "anchor: tau[2,2] = 1 and alpha(2,2) = t2 > 0",
+        "anchor: phi[3,1] = 1 and alpha(3,3) = f1 > 0",
+        "anchor: phi[4,2] = 1 and alpha(4,4) = f2 > 0",
+    )
+    reduced = solve_constraints(2, 3)
+    anchors = [line for line in reduced.transcript if line.startswith("anchor:")]
+    assert anchors[-1] == "anchor: phi[2,2] = 1 and alpha(1,2) = f2 > 0"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_full_dimension_logs_every_zero_product(m):
     # each of the 2m operators contributes one zero product per other target
-    assert len(system.zero_products) == 4 * 3
-    reduced = build_constraints(2, 3)
-    assert reduced.targets == ((1, 1), (2, 2), (3, 3), (1, 2))
-    anchor = reduced.anchors[-1]
-    assert (anchor.family, anchor.entry, anchor.sentence) == ("phi", 2, 2)
-    assert anchor.outcome == "f2"
+    lines = solve_constraints(m, 2 * m).transcript
+    anchors = 2 * m
+    assert len(lines) == anchors + anchors * (anchors - 1)
+    assert all(line.startswith("anchor:") for line in lines[:anchors])
+    assert all(line.startswith("zero product ") for line in lines[anchors:])
 
 
-def test_build_constraints_validation():
+def test_solve_constraints_validation():
     with pytest.raises(UnsupportedDimension):
-        build_constraints(2, 5)
+        solve_constraints(2, 5)
     with pytest.raises(UnsupportedDimension):
-        build_constraints(3, 4)
+        solve_constraints(3, 4)
     with pytest.raises(OutOfRange):
-        build_constraints(0, 0)
+        solve_constraints(0, 0)
     with pytest.raises(OutOfRange):
-        build_constraints(1, 1)  # the reduced system needs two entries
+        solve_constraints(1, 1)  # the reduced system needs two entries
 
 
 def test_full_dimension_has_the_unique_solution():

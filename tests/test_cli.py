@@ -22,8 +22,15 @@ from liarsim import (
     reasoning_cycle,
     trace_to_csv,
 )
-from liarsim.cli import main, parse_sentences, parse_start, parse_time_scale, resolve_config
-from liarsim.config import MAX_SENTENCES, config_to_json
+from liarsim.cli import (
+    MAX_CONFIG_BYTES,
+    main,
+    parse_sentences,
+    parse_start,
+    parse_time_scale,
+    resolve_config,
+)
+from liarsim.config import MAX_SENTENCES, config_to_json, simple_liar
 from liarsim.evolution import _TRACE_BLOCK_ROWS, MAX_TRACE_ROWS, grid_size
 from liarsim.statespace import (
     canonical_entry_cycle,
@@ -94,6 +101,22 @@ def test_state_accepts_inline_and_file_configs(tmp_path, capsys):
     assert main(["state", "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["m"] == 1
 
+
+
+@pytest.mark.parametrize("over, code", [(0, 0), (1, 1)])
+def test_config_file_length_is_bounded(over, code, tmp_path, capsys):
+    # a valid configuration padded with JSON whitespace to the bound, or one
+    # character past it
+    text = config_to_json(simple_liar(3))
+    path = tmp_path / "config.json"
+    path.write_text(text + " " * (MAX_CONFIG_BYTES - len(text) + over))
+    assert main(["state", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"liarsim: error: config file is longer than {MAX_CONFIG_BYTES} characters"
+        ]
 
 def test_state_rejects_non_paradoxical(capsys):
     inline = '{"m": 2, "referent": [2, 1], "negating": [true, true]}'
@@ -277,6 +300,33 @@ def test_trace_gnuplot_companion(tmp_path):
     assert "plot" in script and "sentence 1 true" in script
 
 
+
+def test_trace_gnuplot_escapes_quotes_in_the_data_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["trace", "--config", "one-liar", "--t-max", "1", "--dt", "0.5",
+            "--out", "it's.csv", "--gnuplot", "q.gp"]
+    assert main(args) == 0
+    # gnuplot reads '' as one ' inside a single-quoted string
+    lines = (tmp_path / "q.gp").read_text().splitlines()
+    assert lines[-2] == (
+        "  'it''s.csv' using 1:($2 == 1 ? $3 : 1/0) with lines"
+        " title 'sentence 1 true', \\"
+    )
+
+
+def test_trace_gnuplot_rejects_a_newline_in_the_data_path(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    args = ["trace", "--config", "one-liar", "--out", "a\nb.csv", "--gnuplot", "q.gp"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "liarsim: error: --out must not contain a newline when --gnuplot is given"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
 def test_trace_gnuplot_requires_out(capsys):
     args = ["trace", "--config", "one-liar", "--gnuplot", "x.gp"]
     assert main(args) == 1
@@ -403,6 +453,29 @@ def test_config_file_nested_too_deeply_exits_one_in_one_line(tmp_path):
     ]
     assert not target.exists()
 
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_config_file_exits_one_in_one_line():
+    resource = pytest.importorskip("resource")
+    limit = 400 * 2**20  # address space: an unbounded read would exhaust it
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "liarsim.cli", "state", "--config", "/dev/zero"],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        preexec_fn=cap_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"liarsim: error: config file is longer than {MAX_CONFIG_BYTES} characters"
+    ]
 
 @pytest.mark.parametrize(
     "extra",

@@ -1,7 +1,11 @@
+import re
+
+import numpy as np
 import pytest
 
 import liarsim.verify as verify_mod
 from liarsim import OutOfRange
+from liarsim.audit import MinimalityReport, solve_constraints
 from liarsim.verify import all_passed, run_verification
 
 
@@ -50,3 +54,54 @@ def test_results_are_reproducible():
     first = run_verification(4)
     second = run_verification(4)
     assert first == second
+
+
+@pytest.mark.parametrize("m_max", [1, 4, 8])
+@pytest.mark.parametrize(
+    "check", [pytest.param(check, id=name) for name, check in verify_mod.CHECKS]
+)
+def test_each_check_passes_on_its_own(check, m_max):
+    detail = check(m_max, np.random.default_rng(verify_mod.VERIFY_SEED))
+    assert isinstance(detail, str) and detail
+
+
+def test_results_follow_the_table_order():
+    names = [r.name for r in run_verification(8)]
+    assert names == [name for name, _ in verify_mod.CHECKS]
+    assert len(names) == len(set(names))
+
+
+def _failed(name):
+    results = {r.name: r for r in run_verification(8)}
+    assert not all_passed(tuple(results.values()))
+    assert not results[name].passed
+    return results[name].detail
+
+
+def test_counting_mismatch_is_caught(monkeypatch):
+    real = verify_mod.count_paradoxical
+    monkeypatch.setattr(verify_mod, "count_paradoxical", lambda m: real(m) + (m == 3))
+    assert _failed("counting") == f"m=3: enumerated {real(3)}, counted {real(3) + 1}"
+    # below m = 3 nothing is enumerated there, so the closed form catches it
+    counting = {r.name: r for r in run_verification(2)}["counting"]
+    assert (counting.passed, counting.detail) == (False, "closed form mismatch at m=3")
+
+
+def test_spectral_perturbation_is_caught(monkeypatch):
+    # a 1e-9 shift of every propagator entry is ten times the tolerance
+    real = verify_mod.propagator
+    monkeypatch.setattr(verify_mod, "propagator", lambda ev, tau: real(ev, tau) + 1e-9)
+    # through _within: the detail is the usual max line, now over tolerance
+    detail = _failed("spectral")
+    assert re.fullmatch(r"max residual \d\.\d{3}e-\d\d", detail)
+    assert 1e-9 <= float(detail.split()[-1]) < 1e-8
+
+
+def test_dimension_audit_failure_is_caught(monkeypatch):
+    # a report whose reduced branch is solvable has no contradiction
+    def solvable_below(m):
+        sat = solve_constraints(m, 2 * m)
+        return MinimalityReport(m, sat, sat)
+
+    monkeypatch.setattr(verify_mod, "verify_minimality", solvable_below)
+    assert _failed("dimension-audit") == "m=2 report failed"
