@@ -29,7 +29,7 @@ from .config import (
     simple_liar,
 )
 from .errors import LiarSimError, OutOfRange
-from .evolution import trace_csv_chunks
+from .evolution import trace_csv_chunks, trace_sentences
 from .statespace import decimal_string, initial_state_terms, write_state_json
 from .verify import all_passed, run_verification
 
@@ -146,7 +146,7 @@ def cmd_state(args) -> int:
     terms = initial_state_terms(config)
     manifest = {"command": "state", "config": args.config}
     with _output(args.out) as out:
-        write_state_json(out, config.m, 2 * config.m, terms, {"manifest": manifest})
+        write_state_json(out, config.m, terms, {"manifest": manifest})
         out.write("\n")
     return 0
 
@@ -185,7 +185,7 @@ def cmd_trace(args) -> int:
     if args.gnuplot and os.path.realpath(args.gnuplot) == os.path.realpath(args.out):
         raise OutOfRange("--gnuplot must name a different file from --out")
     t_max = args.t_max if args.t_max is not None else 2.0 * (2 * config.m) * args.time_scale
-    sentences = args.sentences or tuple(range(1, config.m + 1))
+    sentences = trace_sentences(args.sentences, config.m)
     precision = output_precision()
     # Resolved settings of the run, echoed into the header in this order.
     manifest = {

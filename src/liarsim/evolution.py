@@ -12,19 +12,20 @@ Traces and propagation run in cycle positions 0..2m-1.  U(tau) is
 circulant, so ``propagate`` applies its first column as a circular
 convolution, and after the start hypothesis is collapsed every trace
 probability is the closed-form Fejer kernel of tau minus the target's
-displacement (see ``_trace_blocks``).  Integer times take the exact
+displacement (see ``_trace_kernel``).  Integer times take the exact
 permutation route.  The dense spectral frame (``fourier_frame``,
 ``propagator``, ``hamiltonian``) is built only on demand and is kept as the
 verification oracle for small m.
 
-Traces are computed in blocks of whole times, at most ``_TRACE_BLOCK_ROWS``
-rows each, by one generator, which also does every check: sentences,
-start, time scale, the ``MAX_TRACE_ROWS`` cap and finite tau.
-``trace_csv_chunks`` streams the CSV of a time grid from it, one ``%``
-operation per block over a template with the sentence numbers as literals,
-so no row objects and no whole-file string are built; ``probability_trace``
-turns the same blocks into ``TraceRow``s, and ``trace_to_csv`` formats rows
-with the same template, so both routes give the same bytes.
+``_trace_kernel`` does every check of a trace (sentences, start, time
+scale, the ``MAX_TRACE_ROWS`` cap and finite tau) and returns the kernel
+that maps an array of times to their probabilities.  ``trace_csv_chunks``
+applies it to the time grid in blocks of whole times, at most
+``_TRACE_BLOCK_ROWS`` rows each, and formats each block with one ``%``
+operation over a template with the sentence numbers as literals, so no row
+objects and no whole-file string are built; ``probability_trace`` applies
+it once to all its times and builds ``TraceRow``s, and ``trace_to_csv``
+formats rows with the same template, so both routes give the same bytes.
 
 Branch convention, which pins every continuous-time quantity:
 U(tau) = exp(tau * log U_D) with the principal logarithm taken
@@ -95,14 +96,11 @@ class SubspaceEvolution:
 
     ``basis`` lists the 2m cycle states in step order, and one step moves
     position t to (t + 1) mod 2m.  With the unitary frame
-    F = ``fourier_frame(size)``, ``eigenphases`` satisfy
+    F = ``fourier_frame(size)`` and theta = ``principal_phases(size)``,
     U_D = F diag(exp(i*theta)) F^dagger exactly.
     """
 
-    m: int
-    n: int
     basis: tuple[TensorIndex, ...]
-    eigenphases: tuple[float, ...]
     positions: dict[TensorIndex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,15 +122,8 @@ class SubspaceEvolution:
 
 
 def build_evolution(config: Configuration) -> SubspaceEvolution:
-    """Assemble basis and analytic eigenphases."""
-    config = validate(config)
-    basis = cycle_states(config)
-    return SubspaceEvolution(
-        m=config.m,
-        n=2 * config.m,
-        basis=basis,
-        eigenphases=principal_phases(len(basis)),
-    )
+    """The evolution on the cycle states of ``config``."""
+    return SubspaceEvolution(cycle_states(config))
 
 
 def step_matrix(ev: SubspaceEvolution) -> np.ndarray:
@@ -144,14 +135,15 @@ def step_matrix(ev: SubspaceEvolution) -> np.ndarray:
 def hamiltonian(ev: SubspaceEvolution) -> np.ndarray:
     """Generator H = i log U_D on the cycle basis; Hermitian, with
     eigenvalues -theta_k over the principal eigenphases."""
-    return frame_operator(ev.size, -np.asarray(ev.eigenphases))
+    return frame_operator(ev.size, -np.asarray(principal_phases(ev.size)))
 
 
 def propagator(ev: SubspaceEvolution, tau: float) -> np.ndarray:
     """U(tau) = exp(tau * log U_D) on the cycle basis via the dense spectral
     frame; the reference that the circulant routes are checked against."""
     _check_finite_time(tau)
-    return frame_operator(ev.size, np.exp(1j * np.asarray(ev.eigenphases) * tau))
+    theta = np.asarray(principal_phases(ev.size))
+    return frame_operator(ev.size, np.exp(1j * theta * tau))
 
 
 def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseState:
@@ -169,11 +161,9 @@ def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseSt
     vec = np.zeros(ev.size, dtype=complex)
     for idx, a in state.amplitudes.items():
         vec[ev.position(idx)] = a
-    phases = np.exp(1j * np.asarray(ev.eigenphases) * tau)
+    phases = np.exp(1j * np.asarray(principal_phases(ev.size)) * tau)
     out = np.fft.ifft(phases * np.fft.fft(vec))
-    return SparseState(
-        ev.m, ev.n, {idx: complex(out[t]) for t, idx in enumerate(ev.basis)}
-    )
+    return SparseState(state.m, {idx: complex(out[t]) for t, idx in enumerate(ev.basis)})
 
 
 def apply_steps(ev: SubspaceEvolution, state: SparseState, count: int = 1) -> SparseState:
@@ -182,7 +172,7 @@ def apply_steps(ev: SubspaceEvolution, state: SparseState, count: int = 1) -> Sp
     moved: dict[TensorIndex, complex] = {}
     for idx, a in state.amplitudes.items():
         moved[ev.basis[(ev.position(idx) + shift) % ev.size]] = a
-    return SparseState(ev.m, ev.n, moved)
+    return SparseState(state.m, moved)
 
 
 def _cycle_kernel(tau: np.ndarray, d: np.ndarray, size: int) -> np.ndarray:
@@ -225,23 +215,31 @@ def trace_row_count(times: int, sentences: int) -> int:
     return rows
 
 
-def _trace_blocks(
+def trace_sentences(sentences: Iterable[int] | None, m: int) -> tuple[int, ...]:
+    """The sentences a trace reports: all m when ``sentences`` is None, else
+    the given ones sorted and deduplicated, each checked against m."""
+    if sentences is None:
+        return tuple(range(1, m + 1))
+    sentences = tuple(sorted(set(sentences)))
+    for i in sentences:
+        check_sentence(i, m)
+    return sentences
+
+
+def _trace_kernel(
     config: Configuration,
     initial_measurement: tuple[int, bool],
     count: int,
-    times_at: Callable[[int, int], np.ndarray],
     t_bound: float,
     sentences: Iterable[int] | None,
     time_scale: float,
     renormalize: bool,
-) -> tuple[tuple[int, ...], Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Validate a trace of ``count`` times and return its sentences, sorted
-    and deduplicated, with an iterator over its blocks of whole times, at
-    most ``_TRACE_BLOCK_ROWS`` rows each.
+) -> tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]:
+    """Validate a trace of ``count`` times, none above ``t_bound`` in
+    magnitude, and return its ``trace_sentences`` with its kernel.
 
-    ``times_at(lo, hi)`` returns times lo..hi-1 as a float array, and no time
-    exceeds ``t_bound`` in magnitude.  Every check runs on the call, so the
-    caller may open its output once this returns.  Each block is (t, p):
+    Every check runs on the call, so the caller may open its output once
+    this returns.  The kernel maps an array t of times to p, where
     p[:, :k] holds p_true and p[:, k:] p_false of the k sentences at t.
 
     The collapse leaves one cycle position, and each hypothesis sits at its
@@ -255,12 +253,7 @@ def _trace_blocks(
     config = validate(config)
     m = config.m
     start_sentence, start_value = initial_measurement
-    if sentences is None:
-        sentences = tuple(range(1, m + 1))
-    else:
-        sentences = tuple(sorted(set(sentences)))
-        for i in sentences:
-            check_sentence(i, m)
+    sentences = trace_sentences(sentences, m)
     if not 0 < time_scale < math.inf:
         raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
     walk = reasoning_cycle(config)
@@ -281,14 +274,7 @@ def _trace_blocks(
     weight = amp**2
     if renormalize:
         weight = (amp / math.sqrt(weight)) ** 2
-    per_block = max(1, _TRACE_BLOCK_ROWS // max(len(sentences), 1))
-
-    def blocks():
-        for lo in range(0, count, per_block):
-            t = times_at(lo, min(lo + per_block, count))
-            yield t, weight * _cycle_kernel(t / time_scale, d, size)
-
-    return sentences, blocks()
+    return sentences, lambda t: weight * _cycle_kernel(t / time_scale, d, size)
 
 
 def probability_trace(
@@ -307,26 +293,23 @@ def probability_trace(
     each requested time.  Times are in output units of ``time_scale`` per
     reasoning step, i.e. the evolution parameter is t / time_scale.  Rows
     are ordered time-major, sentence-minor (ascending).  The kernel is the
-    closed form described at ``_trace_blocks``.
+    closed form described at ``_trace_kernel``.
     """
-    t_out = np.asarray(times, dtype=float)
-    sentences, blocks = _trace_blocks(
+    t = np.asarray(times, dtype=float)
+    sentences, kernel = _trace_kernel(
         config,
         initial_measurement,
-        len(t_out),
-        lambda lo, hi: t_out[lo:hi],
-        float(np.abs(t_out).max(initial=0.0)),
+        len(t),
+        float(np.abs(t).max(initial=0.0)),
         sentences,
         time_scale,
         renormalize,
     )
-    count = len(sentences)
+    k = len(sentences)
+    p = kernel(t)
     rows = []
-    for t, p in blocks:
-        for t_row, p_true, p_false in zip(
-            t.tolist(), p[:, :count].tolist(), p[:, count:].tolist()
-        ):
-            rows.extend(map(TraceRow, [t_row] * count, sentences, p_true, p_false))
+    for t_row, p_true, p_false in zip(t.tolist(), p[:, :k].tolist(), p[:, k:].tolist()):
+        rows.extend(map(TraceRow, [t_row] * k, sentences, p_true, p_false))
     return tuple(rows)
 
 
@@ -385,7 +368,7 @@ def trace_csv_chunks(
 ) -> Iterator[str]:
     """The CSV of ``probability_trace`` over ``time_grid(t_max, dt)`` as
     ``trace_to_csv`` renders it, as text chunks: the header, then one chunk
-    per block of ``_trace_blocks``.
+    per block of whole times, at most ``_TRACE_BLOCK_ROWS`` rows each.
 
     Every check, the row cap included, runs on the call; the chunks are
     computed as they are consumed.  Each block packs (t, p_true, p_false)
@@ -394,11 +377,10 @@ def trace_csv_chunks(
     ``time_grid``'s ``j * dt``.
     """
     count = grid_size(t_max, dt)
-    sentences, blocks = _trace_blocks(
+    sentences, kernel = _trace_kernel(
         config,
         initial_measurement,
         count,
-        lambda lo, hi: np.arange(lo, hi) * dt,
         (count - 1) * dt,
         sentences,
         time_scale,
@@ -407,10 +389,13 @@ def trace_csv_chunks(
     header = _csv_header(header_lines)
     row = _row_template(sentences, precision)
     k = len(sentences)
+    per_block = max(1, _TRACE_BLOCK_ROWS // max(k, 1))
 
     def chunks():
         yield header
-        for t, p in blocks:
+        for lo in range(0, count, per_block):
+            t = np.arange(lo, min(lo + per_block, count)) * dt
+            p = kernel(t)
             values = np.empty((len(t), k, 3))
             values[:, :, 0] = t[:, None]
             values[:, :, 1] = p[:, :k]

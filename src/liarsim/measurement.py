@@ -3,7 +3,7 @@
 All observables here are diagonal in the product basis: a projector selects
 a set of entry values on one sentence's factor and acts as the identity on
 every other factor.  They are kept symbolic (sentence, entry set) and
-applied by filtering sparse support; the full n^m matrix is never formed.
+applied by filtering sparse support; the full (2m)^m matrix is never formed.
 For each sentence the 2m single-entry projectors are mutually orthogonal
 and sum to the identity, which is the completeness requirement the
 truth/falsehood-by-inference entries exist to satisfy.
@@ -20,11 +20,12 @@ from .statespace import SparseState, TensorIndex
 
 @dataclass(frozen=True)
 class ProjectorSpec:
-    """Diagonal 0/1 projector: select ``entry_set`` on ``sentence``'s factor,
-    identity elsewhere."""
+    """Diagonal 0/1 projector on the m-sentence space: select ``entry_set``
+    on ``sentence``'s factor, identity elsewhere."""
 
     sentence: int
     entry_set: frozenset[int]
+    m: int
 
 
 def single_entry_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
@@ -32,7 +33,7 @@ def single_entry_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
     check_sentence(sentence, m)
     if not 1 <= entry <= 2 * m:
         raise OutOfRange(f"entry {entry} outside 1..{2 * m}")
-    return ProjectorSpec(sentence, frozenset((entry,)))
+    return ProjectorSpec(sentence, frozenset((entry,)), m)
 
 
 def hypothesis_projector(sentence: int, value: bool, m: int) -> ProjectorSpec:
@@ -57,7 +58,9 @@ def inference_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
 
 def _kept(p: ProjectorSpec, state: SparseState) -> dict[TensorIndex, complex]:
     """The support of ``state`` whose entry on ``p.sentence`` lies in
-    ``p.entry_set``."""
+    ``p.entry_set``.  A projector built for another m is refused."""
+    if p.m != state.m:
+        raise OutOfRange(f"projector for m = {p.m} applied to a state with m = {state.m}")
     check_sentence(p.sentence, state.m)
     return {
         idx: a
@@ -81,10 +84,10 @@ def collapse(
     the raw projection is returned unchanged.  A null projection yields the
     null state with probability 0.0 rather than an error.
     """
-    projected = SparseState(state.m, state.n, _kept(p, state))
+    projected = SparseState(state.m, _kept(p, state))
     probability = projected.norm() ** 2
     if probability == 0.0:
-        return SparseState(state.m, state.n, {}), 0.0
+        return SparseState(state.m, {}), 0.0
     if renormalize:
         projected = projected.normalized()
     return projected, probability

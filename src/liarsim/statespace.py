@@ -71,18 +71,18 @@ EmbeddedIndex = int
 Term = tuple[Sequence[int], str, float, float]
 
 
-def check_tensor_index(idx: TensorIndex, n: int) -> None:
+def check_tensor_index(idx: TensorIndex) -> None:
+    n = 2 * len(idx)
     for j, e in enumerate(idx, start=1):
         if not 1 <= e <= n:
             raise OutOfRange(f"entry {e} at position {j} outside 1..{n}")
 
 
-def kappa(idx: TensorIndex, n: int | None = None) -> EmbeddedIndex:
+def kappa(idx: TensorIndex) -> EmbeddedIndex:
     """Linearize an m-tuple of 1-based entries to its 1-based rank in the
-    lexicographic order on [1, n]^m.  Exact integer arithmetic."""
-    if n is None:
-        n = 2 * len(idx)
-    check_tensor_index(idx, n)
+    lexicographic order on [1, 2m]^m.  Exact integer arithmetic."""
+    check_tensor_index(idx)
+    n = 2 * len(idx)
     value = 0
     for e in idx:
         value = value * n + (e - 1)
@@ -99,11 +99,10 @@ def decimal_string(value: int) -> str:
     return str(decimal.Decimal(value))
 
 
-def kappa_inverse(e: EmbeddedIndex, m: int, n: int | None = None) -> TensorIndex:
+def kappa_inverse(e: EmbeddedIndex, m: int) -> TensorIndex:
     """Invert ``kappa``: mixed-radix digit extraction, most significant
     digit first."""
-    if n is None:
-        n = 2 * m
+    n = 2 * m
     if not 1 <= e <= n**m:
         raise OutOfRange(f"embedded index {e} outside 1..{n}^{m}")
     rem = e - 1
@@ -178,7 +177,7 @@ def cycle_ranks(table: np.ndarray) -> list[str]:
             hit_t.tolist(), hit_i.tolist(), correction[hit_t, hit_i].tolist()
         ):
             deltas[t] += c * weights[i]
-        rank = decimal.Decimal(kappa(tuple(table[0].tolist()), n))
+        rank = decimal.Decimal(kappa(tuple(table[0].tolist())))
         ranks = [str(rank)]
         for delta in deltas:
             rank += delta
@@ -188,15 +187,14 @@ def cycle_ranks(table: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True)
 class SparseState:
-    """A vector in the n^m-dimensional product space, stored as a map from
-    tensor tuple to complex amplitude.
+    """A vector in the (2m)^m-dimensional product space, stored as a map
+    from tensor tuple to complex amplitude.
 
     Immutable after construction; the amplitude map is defensively copied.
     An empty map is the distinguished null state (e.g. a zero projection).
     """
 
     m: int
-    n: int
     amplitudes: Mapping[TensorIndex, complex] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -205,9 +203,14 @@ class SparseState:
             idx = tuple(idx)
             if len(idx) != self.m:
                 raise OutOfRange(f"tuple {idx} has length {len(idx)}, expected {self.m}")
-            check_tensor_index(idx, self.n)
+            check_tensor_index(idx)
             amps[idx] = complex(a)
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def n(self) -> int:
+        """Entries per sentence: always 2m."""
+        return 2 * self.m
 
     @property
     def is_null(self) -> bool:
@@ -220,9 +223,7 @@ class SparseState:
         nrm = self.norm()
         if nrm == 0.0:
             return self
-        return SparseState(
-            self.m, self.n, {k: a / nrm for k, a in self.amplitudes.items()}
-        )
+        return SparseState(self.m, {k: a / nrm for k, a in self.amplitudes.items()})
 
     def amplitude(self, idx: TensorIndex) -> complex:
         return self.amplitudes.get(tuple(idx), 0j)
@@ -237,9 +238,7 @@ def build_initial_state(config: Configuration) -> SparseState:
     amplitude is the real positive 1/sqrt(2m)."""
     states = cycle_states(config)
     amp = _uniform_amplitude(len(states))
-    return SparseState(
-        config.m, 2 * config.m, {idx: complex(amp) for idx in states}
-    )
+    return SparseState(config.m, {idx: complex(amp) for idx in states})
 
 
 def initial_state_terms(config: Configuration) -> Iterator[Term]:
@@ -259,21 +258,20 @@ def initial_state_terms(config: Configuration) -> Iterator[Term]:
 def write_state_json(
     out: TextIO,
     m: int,
-    n: int,
     terms: Iterable[Term],
     extra: Mapping[str, object] | None = None,
 ) -> None:
     """Write {**extra, "m", "n", "terms": [{"tuple", "embedded", "re", "im"}]}
-    to ``out`` one term at a time.
+    to ``out`` one term at a time, with n = 2m.
 
     The bytes are exactly those of ``json.dumps(document, indent=2)``, with
     no trailing newline.  The embedded index is a decimal string so consumers
     limited to 64-bit integers survive large m.
     """
     head, tail = json.dumps(
-        {**(extra or {}), "m": m, "n": n, "terms": []}, indent=2
+        {**(extra or {}), "m": m, "n": 2 * m, "terms": []}, indent=2
     ).split('\n  "terms": []')
-    entry = [f"\n        {v}" for v in range(n + 1)]
+    entry = [f"\n        {v}" for v in range(2 * m + 1)]
     out.write(head + '\n  "terms": [')
     sep = "\n"
     for entries, embedded, re, im in terms:
@@ -295,9 +293,8 @@ def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = No
     write_state_json(
         buf,
         state.m,
-        state.n,
         (
-            (idx, decimal_string(kappa(idx, state.n)), a.real, a.imag)
+            (idx, decimal_string(kappa(idx)), a.real, a.imag)
             for idx, a in state.amplitudes.items()
         ),
         extra,
@@ -307,15 +304,18 @@ def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = No
 
 def state_from_json(text: str) -> SparseState:
     """Parse the document written by ``write_state_json``, as strictly as
-    ``config_from_json`` parses a configuration: ``m``, ``n`` and every tuple
-    entry are JSON integers, ``embedded`` is a string equal to the tuple's
-    rank, ``re`` and ``im`` are JSON numbers, and no tuple repeats.  Nothing
-    is coerced, every fault raises OutOfRange, and unknown keys are ignored.
+    ``config_from_json`` parses a configuration: ``m``, ``n`` = 2m and every
+    tuple entry are JSON integers, ``embedded`` is a string equal to the
+    tuple's rank, ``re`` and ``im`` are JSON numbers, and no tuple repeats.
+    Nothing is coerced, every fault raises OutOfRange, and unknown keys are
+    ignored.
     """
     what = "state document"
     m, n, terms = parse_json_fields(text, what, ("m", "n", "terms"))
     if not (is_json_int(m) and is_json_int(n) and isinstance(terms, list)):
         raise OutOfRange(f"malformed {what}: m and n must be integers, terms a list")
+    if n != 2 * m:
+        raise OutOfRange(f"malformed {what}: n = {n} is not 2m = {2 * m}")
     amps: dict[TensorIndex, complex] = {}
     for term in terms:
         idx, embedded, re, im = json_fields(term, what, ("tuple", "embedded", "re", "im"))
@@ -324,7 +324,7 @@ def state_from_json(text: str) -> SparseState:
         idx = tuple(idx)
         if idx in amps:
             raise OutOfRange(f"malformed {what}: tuple {idx} repeats")
-        if not isinstance(embedded, str) or decimal_string(kappa(idx, n)) != embedded:
+        if not isinstance(embedded, str) or decimal_string(kappa(idx)) != embedded:
             raise OutOfRange(f"term {idx} disagrees with its embedded index {embedded!r}")
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise OutOfRange(f"malformed {what}: re and im of {idx} must be numbers")
@@ -332,4 +332,4 @@ def state_from_json(text: str) -> SparseState:
             amps[idx] = complex(re, im)
         except OverflowError:
             raise OutOfRange(f"malformed {what}: amplitude of {idx} overflows") from None
-    return SparseState(m, n, amps)
+    return SparseState(m, amps)

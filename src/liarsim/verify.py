@@ -46,7 +46,13 @@ from .measurement import (
     projection_probability,
     single_entry_projector,
 )
-from .statespace import TensorIndex, build_initial_state, cycle_states, kappa
+from .statespace import (
+    TensorIndex,
+    build_initial_state,
+    cycle_states,
+    kappa,
+    kappa_inverse,
+)
 
 SPECTRAL_TOLERANCE = 1e-10
 ADDITIVITY_TOLERANCE = 1e-12
@@ -185,16 +191,14 @@ def _no_degenerescence(m_max: int, rng) -> str:
 
 
 def _kappa_roundtrip(m_max: int, rng) -> str:
-    from .statespace import kappa_inverse
-
     trials = 0
     for m in range(1, m_max + 1):
         n = 2 * m
         for _ in range(200):
             idx = tuple(int(x) for x in rng.integers(1, n + 1, size=m))
-            e = kappa(idx, n)
+            e = kappa(idx)
             _require(
-                1 <= e <= n**m and kappa_inverse(e, m, n) == idx,
+                1 <= e <= n**m and kappa_inverse(e, m) == idx,
                 f"failed at m={m}, {idx}",
             )
             trials += 1

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -155,7 +156,7 @@ def _reference_state_text(config: Configuration, spec: str) -> str:
         "m": m,
         "n": n,
         "terms": [
-            {"tuple": list(idx), "embedded": str(kappa(idx, n)), "re": amp, "im": 0.0}
+            {"tuple": list(idx), "embedded": str(kappa(idx)), "re": amp, "im": 0.0}
             for idx in tuples
         ],
     }
@@ -299,6 +300,21 @@ def test_trace_gnuplot_companion(tmp_path):
     assert str(csv) in script
     assert "plot" in script and "sentence 1 true" in script
 
+
+
+def test_trace_gnuplot_and_manifest_use_the_resolved_sentences(tmp_path):
+    csv = tmp_path / "a.csv"
+    plot = tmp_path / "a.gp"
+    args = ["trace", "--config", "simple:3", "--sentences", "3,1,3",
+            "--out", str(csv), "--gnuplot", str(plot)]
+    assert main(args) == 0
+    lines = csv.read_text().splitlines()
+    assert "# sentences=1,3" in lines
+    rows = lines[lines.index("t,sentence,p_true,p_false") + 1 :]
+    in_csv = list(dict.fromkeys(int(row.split(",")[1]) for row in rows))
+    assert in_csv == [1, 3]
+    titles = re.findall(r"title '(sentence \d+ \w+)'", plot.read_text())
+    assert titles == [f"sentence {i} {v}" for i in in_csv for v in ("true", "false")]
 
 
 def test_trace_gnuplot_escapes_quotes_in_the_data_path(tmp_path, monkeypatch):
@@ -525,7 +541,8 @@ def _reference_trace_text(spec, start, t_max, dt, scale, raw, sentences, precisi
             config, start, [t], sentences=sentences, time_scale=scale, renormalize=not raw
         )
     ]
-    echoed = sentences or range(1, config.m + 1)
+    # the manifest echoes the resolved list: sorted, without repeats
+    echoed = sorted(set(sentences or range(1, config.m + 1)))
     header = [
         "command=trace",
         f"config={spec}",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,11 +29,13 @@ from liarsim import (
 )
 from liarsim.evolution import (
     MAX_TRACE_ROWS,
+    SubspaceEvolution,
     grid_size,
     principal_phases,
     time_grid,
     trace_csv_chunks,
     trace_row_count,
+    trace_sentences,
 )
 
 TOL = 1e-10
@@ -68,6 +71,11 @@ def test_build_evolution_layout():
     assert ev.position(ev.basis[3]) == 3
     with pytest.raises(SupportOutsideSubspace):
         ev.position((1,) * 8)
+
+
+def test_evolution_is_fixed_by_its_basis():
+    # m, n = 2m and the eigenphases all follow from the cycle basis
+    assert [f.name for f in fields(SubspaceEvolution) if f.init] == ["basis"]
 
 
 def test_step_matrix_advances_one_position():
@@ -122,7 +130,7 @@ def test_propagate_matches_propagator():
         ev = build_evolution(config)
         uniform = build_initial_state(config)
         coeffs = rng.normal(size=ev.size) + 1j * rng.normal(size=ev.size)
-        skewed = SparseState(config.m, 2 * config.m, dict(zip(ev.basis, coeffs)))
+        skewed = SparseState(config.m, dict(zip(ev.basis, coeffs)))
         for state in (uniform, skewed):
             vec = np.array([state.amplitude(idx) for idx in ev.basis])
             for tau in (0.0, 0.5, 1.7, 6.0, -2.25):
@@ -134,7 +142,7 @@ def test_propagate_matches_propagator():
 
 def test_propagate_rejects_foreign_support():
     ev = build_evolution(simple_liar(2))
-    foreign = SparseState(2, 4, {(1, 1): 1.0})
+    foreign = SparseState(2, {(1, 1): 1.0})
     with pytest.raises(SupportOutsideSubspace):
         propagate(ev, foreign, 0.5)
     with pytest.raises(SupportOutsideSubspace):
@@ -144,13 +152,13 @@ def test_propagate_rejects_foreign_support():
 def test_apply_steps_is_exact_rotation():
     config = eight_liar()
     ev = build_evolution(config)
-    start = SparseState(8, 16, {ev.basis[0]: 1.0})
+    start = SparseState(8, {ev.basis[0]: 1.0})
     stepped = apply_steps(ev, start, 3)
     assert stepped.amplitudes == {ev.basis[3]: 1.0}
     assert apply_steps(ev, start, 16).amplitudes == start.amplitudes
     assert apply_steps(ev, start, -1).amplitudes == {ev.basis[15]: 1.0}
     # amplitudes are moved, never recomputed
-    odd = SparseState(8, 16, {ev.basis[5]: 0.25 - 0.33j})
+    odd = SparseState(8, {ev.basis[5]: 0.25 - 0.33j})
     assert apply_steps(ev, odd, 7).amplitude(ev.basis[12]) == 0.25 - 0.33j
 
 
@@ -265,7 +273,7 @@ def test_trace_matches_dense_propagator(config):
                         phi = apply_steps(ev, psi, int(tau))
                     else:
                         phi = SparseState(
-                            m, 2 * m, dict(zip(ev.basis, propagator(ev, tau) @ vec))
+                            m, dict(zip(ev.basis, propagator(ev, tau) @ vec))
                         )
                     for i, v in targets:
                         want = projection_probability(phi, hypothesis_projector(i, v, m))
@@ -278,7 +286,8 @@ def test_trace_matches_dense_propagator(config):
 
 
 def test_trace_is_the_same_across_kernel_blocks():
-    times = time_grid(300.0, 0.1)  # 3001 times: several kernel blocks
+    # one kernel call over 3001 times agrees with a call per time
+    times = time_grid(300.0, 0.1)
     rows = probability_trace(eight_liar(), (2, False), times)
     assert len(rows) == 8 * len(times)
     for k in (0, 1023, 1024, 2047, 2048, 3000):
@@ -297,6 +306,14 @@ def test_trace_validation_errors():
             probability_trace(one_liar(), (1, True), (0.0,), time_scale=scale)
     with pytest.raises(OutOfRange, match="must be finite"):
         probability_trace(one_liar(), (1, True), (0.0, 1e308), time_scale=1e-10)
+
+
+def test_trace_sentences_are_sorted_unique_and_checked():
+    assert trace_sentences(None, 3) == (1, 2, 3)
+    assert trace_sentences([3, 1, 3], 3) == (1, 3)
+    for bad in ([0], [1, 4]):
+        with pytest.raises(OutOfRange):
+            trace_sentences(bad, 3)
 
 
 def test_time_grid():

@@ -50,6 +50,17 @@ def test_projector_validation():
         collapse(state, single_entry_projector(2, 1, 2), renormalize=False)
 
 
+def test_projector_for_another_m_is_refused():
+    # entry 1 is "true by hypothesis" at m = 1 but "true by inference" at
+    # m = 2, so a projector only applies to states of its own m
+    state = build_initial_state(simple_liar(2))
+    for p in (hypothesis_projector(1, True, 1), hypothesis_projector(1, True, 3)):
+        with pytest.raises(OutOfRange, match="projector for m ="):
+            projection_probability(state, p)
+        with pytest.raises(OutOfRange, match="projector for m ="):
+            collapse(state, p)
+
+
 def test_raw_collapse_filters_support():
     state = build_initial_state(eight_liar())
     kept, _ = collapse(state, hypothesis_projector(1, True, 8), renormalize=False)
@@ -78,7 +89,7 @@ def test_collapse_renormalizes_by_default():
 
 
 def test_collapse_of_orthogonal_support_is_null():
-    state = SparseState(1, 2, {(1,): 1.0})
+    state = SparseState(1, {(1,): 1.0})
     null, p = collapse(state, hypothesis_projector(1, False, 1))
     assert p == 0.0
     assert null.is_null
@@ -101,7 +112,7 @@ def _dense_vector(state):
     size = state.n**state.m
     vec = np.zeros(size, dtype=complex)
     for idx, a in state.amplitudes.items():
-        vec[kappa(idx, state.n) - 1] = a
+        vec[kappa(idx) - 1] = a
     return vec
 
 

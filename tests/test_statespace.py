@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import json
 import math
+from dataclasses import fields
 from decimal import Decimal
 
 import numpy as np
@@ -20,22 +22,24 @@ from liarsim import (
 )
 from liarsim.statespace import (
     canonical_entry_cycle,
+    check_tensor_index,
     cycle_ranks,
     cycle_table,
     state_from_json,
     state_to_json,
+    write_state_json,
 )
 
 from golden import EIGHT_EMBEDDED, EIGHT_TUPLES
 
 
 def test_kappa_smallest_cases():
-    assert kappa((1,), 2) == 1
-    assert kappa((2,), 2) == 2
-    assert kappa((1, 1), 4) == 1
-    assert kappa((1, 2), 4) == 2
-    assert kappa((2, 1), 4) == 5
-    assert kappa((4, 4), 4) == 16
+    assert kappa((1,)) == 1
+    assert kappa((2,)) == 2
+    assert kappa((1, 1)) == 1
+    assert kappa((1, 2)) == 2
+    assert kappa((2, 1)) == 5
+    assert kappa((4, 4)) == 16
 
 
 def test_kappa_is_lexicographic_rank():
@@ -44,14 +48,14 @@ def test_kappa_is_lexicographic_rank():
         n = 2 * m
         ranked = list(itertools.product(range(1, n + 1), repeat=m))
         for rank, idx in enumerate(ranked, start=1):
-            assert kappa(idx, n) == rank
-            assert kappa_inverse(rank, m, n) == idx
+            assert kappa(idx) == rank
+            assert kappa_inverse(rank, m) == idx
 
 
 def test_kappa_reference_pairs():
     for idx, embedded in zip(EIGHT_TUPLES, EIGHT_EMBEDDED):
-        assert kappa(idx, 16) == embedded
-        assert kappa_inverse(embedded, 8, 16) == idx
+        assert kappa(idx) == embedded
+        assert kappa_inverse(embedded, 8) == idx
 
 
 def test_kappa_round_trip_random():
@@ -60,27 +64,41 @@ def test_kappa_round_trip_random():
         n = 2 * m
         for _ in range(300):
             idx = tuple(int(x) for x in rng.integers(1, n + 1, size=m))
-            assert kappa_inverse(kappa(idx, n), m, n) == idx
+            assert kappa_inverse(kappa(idx), m) == idx
 
 
 def test_kappa_exact_beyond_double_precision():
     # m = 12 gives 24^12 ~ 4.3e16 states, past float53 integer exactness
     idx = tuple(range(13, 25))
     n = 24
-    e = kappa(idx, n)
-    assert kappa_inverse(e, 12, n) == idx
-    assert kappa((24,) * 12, n) == n**12
+    e = kappa(idx)
+    assert kappa_inverse(e, 12) == idx
+    assert kappa((24,) * 12) == n**12
 
 
 def test_kappa_rejects_bad_entries():
     with pytest.raises(OutOfRange):
-        kappa((0, 1), 4)
+        kappa((0, 1))
     with pytest.raises(OutOfRange):
-        kappa((1, 5), 4)
+        kappa((1, 5))
     with pytest.raises(OutOfRange):
-        kappa_inverse(0, 2, 4)
+        kappa_inverse(0, 2)
     with pytest.raises(OutOfRange):
-        kappa_inverse(17, 2, 4)
+        kappa_inverse(17, 2)
+
+
+def test_entries_per_sentence_are_derived_from_m():
+    # n = 2m is fixed by the model, so no constructor or index function takes it
+    assert [f.name for f in fields(SparseState) if f.init] == ["m", "amplitudes"]
+    assert SparseState(3).n == 6
+    assert build_initial_state(eight_liar()).n == 16
+    for fn, params in (
+        (kappa, ["idx"]),
+        (kappa_inverse, ["e", "m"]),
+        (check_tensor_index, ["idx"]),
+        (write_state_json, ["out", "m", "terms", "extra"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == params
 
 
 def test_canonical_entry_cycle_layout():
@@ -128,7 +146,7 @@ def test_cycle_state_entries_decode_consistently():
 
 
 def test_sparse_state_basics():
-    state = SparseState(2, 4, {(1, 2): 0.6, (3, 4): 0.8j})
+    state = SparseState(2, {(1, 2): 0.6, (3, 4): 0.8j})
     assert state.norm() == pytest.approx(1.0)
     assert not state.is_null
     assert state.amplitude((1, 2)) == 0.6
@@ -139,17 +157,17 @@ def test_sparse_state_basics():
 
 def test_sparse_state_defensive_copy():
     amps = {(1,): 1.0}
-    state = SparseState(1, 2, amps)
+    state = SparseState(1, amps)
     amps[(2,)] = 5.0
     assert state.amplitude((2,)) == 0
 
 
 def test_sparse_state_validation():
     with pytest.raises(OutOfRange):
-        SparseState(2, 4, {(1,): 1.0})
+        SparseState(2, {(1,): 1.0})
     with pytest.raises(OutOfRange):
-        SparseState(2, 4, {(1, 5): 1.0})
-    null = SparseState(2, 4, {})
+        SparseState(2, {(1, 5): 1.0})
+    null = SparseState(2, {})
     assert null.is_null
     assert null.norm() == 0.0
     assert null.normalized() is null
@@ -210,9 +228,9 @@ def test_cycle_ranks_reject_tables_that_are_not_cycles():
 def test_state_json_is_json_dumps_with_indent():
     extra = {"manifest": {"nested": [1, {"a": None}], "text": 'a " and \n'}, "m": 99}
     states = (
-        SparseState(2, 4, {}),
-        SparseState(0, 2, {(): 1.0}),
-        SparseState(2, 4, {(1, 2): 0.6, (3, 4): 0.8j}),
+        SparseState(2, {}),
+        SparseState(0, {(): 1.0}),
+        SparseState(2, {(1, 2): 0.6, (3, 4): 0.8j}),
     )
     for state in states:
         doc = {
@@ -220,7 +238,7 @@ def test_state_json_is_json_dumps_with_indent():
             "m": state.m,
             "n": state.n,
             "terms": [
-                {"tuple": list(idx), "embedded": str(kappa(idx, state.n)), "re": a.real, "im": a.imag}
+                {"tuple": list(idx), "embedded": str(kappa(idx)), "re": a.real, "im": a.imag}
                 for idx, a in state.amplitudes.items()
             ],
         }
@@ -228,7 +246,7 @@ def test_state_json_is_json_dumps_with_indent():
 
 
 def test_state_json_round_trip_past_the_int_str_limit():
-    state = SparseState(1300, 2600, {(2600,) * 1300: 1.0})  # rank 2600^1300
+    state = SparseState(1300, {(2600,) * 1300: 1.0})  # rank 2600^1300
     assert state_from_json(state_to_json(state)) == state
 
 
@@ -244,7 +262,7 @@ def _state_term(**changes):
 
 
 def test_state_reader_accepts_the_well_formed_document():
-    assert state_from_json(json.dumps(_state_doc())) == SparseState(1, 2, {(1,): 0.5})
+    assert state_from_json(json.dumps(_state_doc())) == SparseState(1, {(1,): 0.5})
 
 
 @pytest.mark.parametrize(
@@ -264,11 +282,13 @@ def test_state_reader_accepts_the_well_formed_document():
         [_state_doc()],
         {"m": 1, "n": 2},
         _state_doc(terms=[_TERM, _TERM]),
+        _state_doc(n=3),
     ],
     ids=[
         "m-float", "n-string", "n-bool", "entry-bool", "entry-float",
         "embedded-int", "re-string", "im-bool", "re-overflows", "terms-object",
         "term-not-object", "top-level-list", "missing-key", "repeated-tuple",
+        "n-not-2m",
     ],
 )
 def test_state_reader_rejects_malformed_documents(doc):
