@@ -21,11 +21,15 @@ verification oracle for small m.
 scale, the ``MAX_TRACE_ROWS`` cap and finite tau) and returns the kernel
 that maps an array of times to their probabilities.  ``trace_csv_chunks``
 applies it to the time grid in blocks of whole times, at most
-``_TRACE_BLOCK_ROWS`` rows each, and formats each block with one ``%``
-operation over a template with the sentence numbers as literals, so no row
-objects and no whole-file string are built; ``probability_trace`` applies
-it once to all its times and builds ``TraceRow``s, and ``trace_to_csv``
-formats rows with the same template, so both routes give the same bytes.
+``_TRACE_BLOCK_ROWS`` rows each.  A block's cells repeat: every sentence
+shares its time, and the periodic kernel takes few distinct values.  So
+``_format_distinct`` formats each distinct value of a block once, and one
+``%`` over a ``%s`` row template with the sentence numbers as literals
+assembles the block from the gathered strings; no row objects and no
+whole-file string are built.  ``probability_trace`` applies the kernel once
+to all its times and builds ``TraceRow``s, and ``trace_to_csv`` formats
+each row's values with the same ``%.<p>g``, so both routes give the same
+bytes.
 
 Branch convention, which pins every continuous-time quantity:
 U(tau) = exp(tau * log U_D) with the principal logarithm taken
@@ -335,11 +339,19 @@ def _csv_header(header_lines: Iterable[str]) -> str:
     return "".join(f"# {line}\n" for line in header_lines) + "t,sentence,p_true,p_false\n"
 
 
-def _row_template(sentences: Iterable[int], precision: int) -> str:
-    """``%`` template of one CSV row per sentence, taking (t, p_true,
-    p_false) per row; the sentence numbers are literals."""
+def _format_distinct(values: np.ndarray, precision: int) -> np.ndarray:
+    """``%.<precision>g`` of every float in ``values``, as an object array of
+    strings of the same shape, formatting each distinct value once.
+
+    Values are told apart by their bit patterns: ``np.unique`` on the floats
+    would merge -0.0 with 0.0, which print as "-0" and "0".
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     g = f"%.{precision}g"
-    return "".join(f"{g},{i},{g},{g}\n" for i in sentences)
+    text = np.array([g % v for v in bits.view(np.float64).tolist()], dtype=object)
+    # the shape of the inverse differs between numpy versions
+    return text[inverse.reshape(values.shape)]
 
 
 def trace_to_csv(
@@ -349,9 +361,10 @@ def trace_to_csv(
 ) -> str:
     """Render rows as CSV: ``t,sentence,p_true,p_false`` with the given
     number of significant digits; optional comment lines precede the header."""
+    g = f"%.{precision}g"
+    row = f"{g},%d,{g},{g}\n"
     return _csv_header(header_lines) + "".join(
-        _row_template((r.sentence,), precision) % (r.t, r.p_true, r.p_false)
-        for r in rows
+        row % (r.t, r.sentence, r.p_true, r.p_false) for r in rows
     )
 
 
@@ -371,8 +384,11 @@ def trace_csv_chunks(
     per block of whole times, at most ``_TRACE_BLOCK_ROWS`` rows each.
 
     Every check, the row cap included, runs on the call; the chunks are
-    computed as they are consumed.  Each block packs (t, p_true, p_false)
-    into one (times, sentences, 3) array and formats it with one ``%``
+    computed as they are consumed.  Each block formats its times and its
+    probabilities with ``_format_distinct``, so a time is formatted once
+    for all its sentences and a probability once per distinct value, packs
+    the strings of (t, p_true, p_false) into one (times, sentences, 3)
+    object array and fills a ``%s`` row template with it in one ``%``
     operation.  The times are ``np.arange(lo, hi) * dt``, bit-identical to
     ``time_grid``'s ``j * dt``.
     """
@@ -387,7 +403,7 @@ def trace_csv_chunks(
         renormalize,
     )
     header = _csv_header(header_lines)
-    row = _row_template(sentences, precision)
+    row = "".join(f"%s,{i},%s,%s\n" for i in sentences)
     k = len(sentences)
     per_block = max(1, _TRACE_BLOCK_ROWS // max(k, 1))
 
@@ -395,11 +411,11 @@ def trace_csv_chunks(
         yield header
         for lo in range(0, count, per_block):
             t = np.arange(lo, min(lo + per_block, count)) * dt
-            p = kernel(t)
-            values = np.empty((len(t), k, 3))
-            values[:, :, 0] = t[:, None]
-            values[:, :, 1] = p[:, :k]
-            values[:, :, 2] = p[:, k:]
-            yield (row * len(t)) % tuple(values.ravel().tolist())
+            p = _format_distinct(kernel(t), precision)
+            cells = np.empty((len(t), k, 3), dtype=object)
+            cells[:, :, 0] = _format_distinct(t, precision)[:, None]
+            cells[:, :, 1] = p[:, :k]
+            cells[:, :, 2] = p[:, k:]
+            yield (row * len(t)) % tuple(cells.ravel().tolist())
 
     return chunks()

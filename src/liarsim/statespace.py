@@ -67,7 +67,8 @@ from .inference import reasoning_cycle
 TensorIndex = tuple[int, ...]
 EmbeddedIndex = int
 # (entries, embedded index as decimal digits, re, im): one term of a state
-# document, as ``write_state_json`` takes it.
+# document, as ``write_state_json`` takes it.  The entries may be a tuple or
+# an integer array.
 Term = tuple[Sequence[int], str, float, float]
 
 
@@ -192,12 +193,16 @@ class SparseState:
 
     Immutable after construction; the amplitude map is defensively copied.
     An empty map is the distinguished null state (e.g. a zero projection).
+    m = 0 is the one-dimensional space of the empty tuple; a negative m
+    raises OutOfRange.
     """
 
     m: int
     amplitudes: Mapping[TensorIndex, complex] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.m < 0:
+            raise OutOfRange(f"state has m = {self.m} sentences, need m >= 0")
         amps = {}
         for idx, a in self.amplitudes.items():
             idx = tuple(idx)
@@ -246,13 +251,14 @@ def initial_state_terms(config: Configuration) -> Iterator[Term]:
     without building the state.
 
     The table and the ranks are computed and checked by this call, so an
-    invalid configuration fails before anything is written; the rows become
-    lists one at a time as the iterator is consumed.
+    invalid configuration fails before anything is written.  Each term's
+    entries are its int32 row of the table, and every term shares the same
+    ``re`` and ``im`` objects.
     """
     table = cycle_table(config)
     ranks = cycle_ranks(table)
     amp = _uniform_amplitude(len(table))
-    return ((row.tolist(), rank, amp, 0.0) for row, rank in zip(table, ranks))
+    return ((row, rank, amp, 0.0) for row, rank in zip(table, ranks))
 
 
 def write_state_json(
@@ -266,20 +272,34 @@ def write_state_json(
 
     The bytes are exactly those of ``json.dumps(document, indent=2)``, with
     no trailing newline.  The embedded index is a decimal string so consumers
-    limited to 64-bit integers survive large m.
+    limited to 64-bit integers survive large m; it holds digits only, so it
+    is quoted without escaping.
+
+    Each value is formatted once.  The 2m + 1 entry lines
+    ``",\n        <v>"`` sit in a fixed-width bytes table, and a tuple
+    listing is one gather from it (``tobytes``, NUL padding removed, leading
+    comma dropped).  ``re`` and ``im`` are formatted again only when a term
+    brings a new object, so terms that share their amplitude objects, as
+    ``initial_state_terms``'s do, format them once.
     """
     head, tail = json.dumps(
         {**(extra or {}), "m": m, "n": 2 * m, "terms": []}, indent=2
     ).split('\n  "terms": []')
-    entry = [f"\n        {v}" for v in range(2 * m + 1)]
+    entry = np.array([f",\n        {v}".encode() for v in range(2 * m + 1)])
     out.write(head + '\n  "terms": [')
     sep = "\n"
+    re_seen = im_seen = object()  # no term brings this object
+    re_text = im_text = ""
     for entries, embedded, re, im in terms:
-        items = ",".join([entry[e] for e in entries])
+        if re is not re_seen:
+            re_seen, re_text = re, json.dumps(re)
+        if im is not im_seen:
+            im_seen, im_text = im, json.dumps(im)
+        items = np.take(entry, entries).tobytes().replace(b"\0", b"")[1:].decode()
         listing = "[" + items + "\n      ]" if items else "[]"
         out.write(
-            f'{sep}    {{\n      "tuple": {listing},\n      "embedded": {json.dumps(embedded)},'
-            f'\n      "re": {json.dumps(re)},\n      "im": {json.dumps(im)}\n    }}'
+            f'{sep}    {{\n      "tuple": {listing},\n      "embedded": "{embedded}",'
+            f'\n      "re": {re_text},\n      "im": {im_text}\n    }}'
         )
         sep = ",\n"
     out.write(("\n  ]" if sep == ",\n" else "]") + tail)

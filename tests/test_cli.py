@@ -631,6 +631,15 @@ def test_trace_output_matches_reference_across_blocks(count):
                        dt=0.1, scale="1.3", sentences=(5, 2), precision=17)
 
 
+def test_wide_trace_output_matches_reference_across_blocks():
+    # 600 sentences: 13 times per block, so 40 times make four blocks, each
+    # with 1,200 probability columns of three-digit sentence numbers
+    count = 40
+    assert count > 2 * (_TRACE_BLOCK_ROWS // 600)
+    _check_trace_bytes("simple:600", start=(7, False), t_max=(count - 1) * 0.1,
+                       dt=0.1, scale="pi/2", precision=17)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     paradoxical_configs(),

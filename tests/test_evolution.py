@@ -30,6 +30,7 @@ from liarsim import (
 from liarsim.evolution import (
     MAX_TRACE_ROWS,
     SubspaceEvolution,
+    _format_distinct,
     grid_size,
     principal_phases,
     time_grid,
@@ -380,3 +381,17 @@ def test_trace_csv_precision():
     narrow = trace_to_csv(rows, precision=3).splitlines()[-1]
     assert narrow == "0.25,1,0.854,0.146"
     assert len(wide) > len(narrow)
+
+
+def test_format_distinct_keeps_the_sign_of_zero_and_the_shape():
+    # np.unique on the floats would merge -0.0 into 0.0 and print "0" for
+    # both; the kernel never yields -0.0, so only this test reaches the case
+    values = np.array([[-0.0, 0.0, 0.0], [5e-324, 1.0, -0.0]])
+    text = _format_distinct(values, 12)
+    assert text.shape == values.shape
+    assert text.tolist() == [["-0", "0", "0"], ["4.94065645841e-324", "1", "-0"]]
+    for precision in (1, 17):
+        g = f"%.{precision}g"
+        assert _format_distinct(values, precision).tolist() == [
+            [g % v for v in row] for row in values.tolist()
+        ]

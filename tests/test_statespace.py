@@ -1,4 +1,5 @@
 import inspect
+import io
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ from liarsim.statespace import (
     check_tensor_index,
     cycle_ranks,
     cycle_table,
+    initial_state_terms,
     state_from_json,
     state_to_json,
     write_state_json,
@@ -173,6 +175,14 @@ def test_sparse_state_validation():
     assert null.normalized() is null
 
 
+def test_sparse_state_rejects_negative_m():
+    with pytest.raises(OutOfRange):
+        SparseState(-3, {})
+    with pytest.raises(OutOfRange):
+        SparseState(-1)
+    assert SparseState(0, {(): 1.0}).n == 0
+
+
 def test_initial_state_uniform_in_cycle_order():
     config = eight_liar()
     state = build_initial_state(config)
@@ -245,6 +255,18 @@ def test_state_json_is_json_dumps_with_indent():
         assert state_to_json(state, extra=extra) == json.dumps(doc, indent=2)
 
 
+@pytest.mark.parametrize("config", [one_liar(), simple_liar(2), eight_liar()],
+                         ids=["m1", "m2", "m8"])
+def test_state_writer_gives_the_same_bytes_for_tuples_and_table_rows(config):
+    # state_to_json hands the writer tuples of ints, initial_state_terms the
+    # int32 rows of the cycle table
+    buf = io.StringIO()
+    write_state_json(buf, config.m, initial_state_terms(config), {"manifest": {"m": 1}})
+    assert buf.getvalue() == state_to_json(
+        build_initial_state(config), extra={"manifest": {"m": 1}}
+    )
+
+
 def test_state_json_round_trip_past_the_int_str_limit():
     state = SparseState(1300, {(2600,) * 1300: 1.0})  # rank 2600^1300
     assert state_from_json(state_to_json(state)) == state
@@ -283,12 +305,13 @@ def test_state_reader_accepts_the_well_formed_document():
         {"m": 1, "n": 2},
         _state_doc(terms=[_TERM, _TERM]),
         _state_doc(n=3),
+        _state_doc(m=-1, n=-2, terms=[]),
     ],
     ids=[
         "m-float", "n-string", "n-bool", "entry-bool", "entry-float",
         "embedded-int", "re-string", "im-bool", "re-overflows", "terms-object",
         "term-not-object", "top-level-list", "missing-key", "repeated-tuple",
-        "n-not-2m",
+        "n-not-2m", "m-negative",
     ],
 )
 def test_state_reader_rejects_malformed_documents(doc):
