@@ -12,10 +12,10 @@ derived facts collide.
 The audit never touches all n^m amplitudes.  Projector coefficients are
 binary (a diagonal projector either keeps an entry or kills it) and outcome
 coefficients are carried as opaque positive symbols, so every scalar
-component equation is a product of at most two unknowns and propagation
-needs only the tuples that appear as some operator's target, so the solver
-walks (operator, target) pairs straight from the operator list.
-Contradiction is therefore exact, not a numerical judgement.
+component equation is a product of at most two unknowns.  Propagation needs
+only the operators' targets, each an anchor with a positive amplitude, so the
+solver walks (operator, target) pairs and forces coefficients, never an
+amplitude, to 0.  Contradiction is therefore exact, not a numerical judgement.
 """
 
 from __future__ import annotations
@@ -93,22 +93,21 @@ def solve_constraints(m: int, n: int) -> Satisfiable | Contradiction:
     Each anchor (an operator's own target) pins its coefficient to 1 and its
     amplitude to a positive symbol (a product of binary-by-construction
     coefficients can only reach a positive value with both factors live).
-    Zero products, operator first and other target second, then force the
-    remaining unknowns to 0, unless a product's two factors are both already
-    pinned nonzero, in which case the derivation stops with that product and
-    the two facts behind it as the witness.
+    Every target is an anchor, so a zero product, operator first and other
+    target second, forces only its coefficient to 0, never an amplitude, and
+    a coefficient already pinned to 1 stops the derivation with that product
+    and the two facts behind it as the witness.
     """
     ops = _operator_targets(m, n)
     alpha = {t: "alpha(" + ",".join(str(x) for x in t) + ")" for _, _, t, _ in ops}
     coeff: dict[str, int] = {}
-    amp: dict[TensorIndex, str] = {}
+    amp = {t: outcome for _, _, t, outcome in ops}
     anchor_fact: dict[TensorIndex, str] = {}
     transcript = []
 
     for family, i, target, outcome in ops:
         name = f"{family}[{target[i - 1]},{i}]"
         coeff[name] = 1
-        amp[target] = outcome
         fact = f"{name} = 1 and {alpha[target]} = {outcome} > 0"
         anchor_fact[target] = fact
         transcript.append(f"anchor: {fact}")
@@ -120,9 +119,7 @@ def solve_constraints(m: int, n: int) -> Satisfiable | Contradiction:
             name = f"{family}[{target[i - 1]},{i}]"
             product = f"{name}*{alpha[target]}"
             cval = coeff.get(name)
-            aval = amp.get(target)
-            amp_live = aval is not None and aval != "0"
-            if cval == 1 and amp_live:
+            if cval == 1:
                 witness = ContradictionWitness(
                     nonzero_amplitude=anchor_fact[target],
                     unit_coefficient=f"{name} = 1",
@@ -133,18 +130,12 @@ def solve_constraints(m: int, n: int) -> Satisfiable | Contradiction:
                     f" and {witness.nonzero_amplitude}"
                 )
                 return Contradiction(m, n, witness, tuple(transcript))
-            if amp_live and cval is None:
+            if cval is None:
                 coeff[name] = 0
                 transcript.append(
-                    f"zero product {product} = 0 with {aval} > 0, so {name} = 0"
+                    f"zero product {product} = 0 with {amp[target]} > 0, so {name} = 0"
                 )
-            elif cval == 1 and aval is None:
-                amp[target] = "0"
-                transcript.append(
-                    f"zero product {product} = 0 with {name} = 1,"
-                    f" so {alpha[target]} = 0"
-                )
-            # a product with a factor already pinned to zero holds as is
+            # a product whose coefficient is already pinned to zero holds as is
 
     return Satisfiable(m, n, dict(coeff), dict(amp), tuple(transcript))
 

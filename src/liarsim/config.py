@@ -25,7 +25,7 @@ MAX_SENTENCES = 4096
 
 @dataclass(frozen=True)
 class Configuration:
-    """One m-sentence liar cycle.
+    """One m-sentence liar cycle, checked by ``validate`` when it is built.
 
     ``referent[i-1]`` is the 1-based sentence that sentence ``i`` speaks
     about; ``negating[i-1]`` is True when sentence ``i`` claims its referent
@@ -36,11 +36,8 @@ class Configuration:
     referent: tuple[int, ...]
     negating: tuple[bool, ...]
 
-    def referent_of(self, sentence: int) -> int:
-        return self.referent[sentence - 1]
-
-    def is_negating(self, sentence: int) -> bool:
-        return self.negating[sentence - 1]
+    def __post_init__(self):
+        validate(self)
 
 
 def check_sentence_count(m: int) -> int:
@@ -81,8 +78,8 @@ def validate(config: Configuration) -> Configuration:
         if s in seen:
             raise NotSingleCycle(f"reference map revisits sentence {s} early")
         seen.add(s)
-        s = config.referent_of(s)
-    if s != 1 or len(seen) != m:
+        s = config.referent[s - 1]
+    if s != 1:
         raise NotSingleCycle("reference map is not a single cycle over all sentences")
     return config
 
@@ -122,7 +119,7 @@ def enumerate_paradoxical(m: int) -> Iterator[Configuration]:
             referent[a - 1] = b
         for negs in product((False, True), repeat=m):
             if sum(negs) % 2 == 1:
-                yield validate(Configuration(m, tuple(referent), negs))
+                yield Configuration(m, tuple(referent), negs)
 
 
 def config_to_json(config: Configuration) -> str:
@@ -178,7 +175,7 @@ def config_from_json(text: str) -> Configuration:
         raise OutOfRange(f"malformed {what}: referent must be a list of integers")
     if not (isinstance(negating, list) and all(isinstance(b, bool) for b in negating)):
         raise OutOfRange(f"malformed {what}: negating must be a list of booleans")
-    return validate(Configuration(m, tuple(referent), tuple(negating)))
+    return Configuration(m, tuple(referent), tuple(negating))
 
 
 def one_liar() -> Configuration:
@@ -191,7 +188,7 @@ def simple_liar(m: int) -> Configuration:
     check_sentence_count(m)
     referent = tuple(i % m + 1 for i in range(1, m + 1))
     negating = tuple(i == m for i in range(1, m + 1))
-    return validate(Configuration(m, referent, negating))
+    return Configuration(m, referent, negating)
 
 
 def eight_liar() -> Configuration:
@@ -204,4 +201,4 @@ def eight_liar() -> Configuration:
     """
     referent = (3, 7, 8, 6, 1, 5, 4, 2)
     negating = (True, True, False, False, True, True, True, False)
-    return validate(Configuration(8, referent, negating))
+    return Configuration(8, referent, negating)

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .config import Configuration, check_sentence, validate
+from .config import Configuration, check_sentence
 from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
 from .statespace import SparseState, TensorIndex, _uniform_amplitude, cycle_states
@@ -221,10 +221,12 @@ def trace_row_count(times: int, sentences: int) -> int:
 
 def trace_sentences(sentences: Iterable[int] | None, m: int) -> tuple[int, ...]:
     """The sentences a trace reports: all m when ``sentences`` is None, else
-    the given ones sorted and deduplicated, each checked against m."""
+    the given ones sorted, deduplicated, non-empty and checked against m."""
     if sentences is None:
         return tuple(range(1, m + 1))
     sentences = tuple(sorted(set(sentences)))
+    if not sentences:
+        raise OutOfRange("no sentences to trace")
     for i in sentences:
         check_sentence(i, m)
     return sentences
@@ -254,20 +256,18 @@ def _trace_kernel(
     form, vectorized over times and hypotheses.  Integral tau takes the
     exact route instead: w when (tau - d) mod N == 0, else 0.
     """
-    config = validate(config)
     m = config.m
     start_sentence, start_value = initial_measurement
     sentences = trace_sentences(sentences, m)
     if not 0 < time_scale < math.inf:
         raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
     walk = reasoning_cycle(config)
-    check_sentence(start_sentence, m)
+    origin = walk.step_of(start_sentence, start_value)
     trace_row_count(count, len(sentences))
     # |t| <= t_bound, so every tau is finite when this one is.
     _check_finite_time(t_bound / time_scale)
 
     size = 2 * m
-    origin = walk.step_of(start_sentence, start_value)
     # Displacements of the traced hypotheses: all "true" columns, then all
     # "false" columns.
     d = np.array([walk.step_of(i, v) - origin for v in (True, False) for i in sentences])
@@ -405,7 +405,7 @@ def trace_csv_chunks(
     header = _csv_header(header_lines)
     row = "".join(f"%s,{i},%s,%s\n" for i in sentences)
     k = len(sentences)
-    per_block = max(1, _TRACE_BLOCK_ROWS // max(k, 1))
+    per_block = max(1, _TRACE_BLOCK_ROWS // k)
 
     def chunks():
         yield header

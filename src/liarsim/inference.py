@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import Configuration, check_sentence, validate
+from .config import Configuration, check_sentence
 from .errors import NotParadoxical, OutOfRange
 
 
@@ -43,11 +43,7 @@ class ReasoningCycle:
         try:
             return self.positions[sentence, value]
         except KeyError:
-            raise OutOfRange(f"sentence {sentence} not in cycle") from None
-
-    def true_step(self, sentence: int) -> int:
-        """Position at which ``sentence`` is hypothesized true."""
-        return self.step_of(sentence, True)
+            raise OutOfRange(f"sentence {sentence} outside 1..{self.m}") from None
 
     def hypothesis_at(self, step: int) -> tuple[int, bool]:
         """(sentence, value) hypothesized at 1-based position ``step``,
@@ -64,7 +60,7 @@ def infer_next(config: Configuration, sentence: int, value: bool) -> tuple[int, 
     (a false sentence makes the negation of its claim hold).
     """
     check_sentence(sentence, config.m)
-    return config.referent_of(sentence), value != config.is_negating(sentence)
+    return config.referent[sentence - 1], value != config.negating[sentence - 1]
 
 
 def reasoning_cycle(
@@ -75,7 +71,6 @@ def reasoning_cycle(
     Raises NotParadoxical when the walk closes after m steps with the start
     value unflipped (even negation count).
     """
-    config = validate(config)
     m = config.m
     steps = [HypothesisStep(1, start_sentence, start_value)]
     sentence, value = start_sentence, start_value

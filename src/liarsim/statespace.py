@@ -134,9 +134,9 @@ def cycle_table(config: Configuration) -> np.ndarray:
     walk = reasoning_cycle(config)
     m = config.m
     # Entries and steps are at most 2m: int32 halves the index temporaries.
-    true_step = np.array([walk.true_step(i) for i in range(1, m + 1)], dtype=np.int32)
+    t_true = np.array([walk.step_of(i, True) for i in range(1, m + 1)], dtype=np.int32)
     period = 2 * m
-    offsets = np.subtract.outer(np.arange(1, period + 1, dtype=np.int32), true_step)
+    offsets = np.subtract.outer(np.arange(1, period + 1, dtype=np.int32), t_true)
     offsets %= period
     return np.asarray(canonical_entry_cycle(m), dtype=np.int32)[offsets]
 
@@ -272,8 +272,9 @@ def write_state_json(
 
     The bytes are exactly those of ``json.dumps(document, indent=2)``, with
     no trailing newline.  The embedded index is a decimal string so consumers
-    limited to 64-bit integers survive large m; it holds digits only, so it
-    is quoted without escaping.
+    limited to 64-bit integers survive large m.  A term without m entries in
+    1..2m and an index of ASCII digits (quoted unescaped) raises OutOfRange;
+    whether that index is the tuple's rank is ``state_from_json``'s check.
 
     Each value is formatted once.  The 2m + 1 entry lines
     ``",\n        <v>"`` sit in a fixed-width bytes table, and a tuple
@@ -295,7 +296,14 @@ def write_state_json(
             re_seen, re_text = re, json.dumps(re)
         if im is not im_seen:
             im_seen, im_text = im, json.dumps(im)
-        items = np.take(entry, entries).tobytes().replace(b"\0", b"")[1:].decode()
+        row = np.asarray(entries)
+        try:  # np.take raises on an entry above 2m or one that is not an integer
+            items = np.take(entry, entries).tobytes().replace(b"\0", b"")[1:].decode()
+            ok = row.shape == (m,) and (m == 0 or row.min() >= 1)
+        except (IndexError, TypeError):
+            ok = False
+        if not (ok and isinstance(embedded, str) and embedded.encode("ascii", "replace").isdigit()):
+            raise OutOfRange(f"malformed term for m = {m}: {row.tolist()}, {embedded!r}")
         listing = "[" + items + "\n      ]" if items else "[]"
         out.write(
             f'{sep}    {{\n      "tuple": {listing},\n      "embedded": "{embedded}",'

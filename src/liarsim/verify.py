@@ -25,7 +25,6 @@ from .config import (
     count_paradoxical,
     enumerate_paradoxical,
     eight_liar,
-    one_liar,
     simple_liar,
 )
 from .errors import OutOfRange
@@ -128,7 +127,7 @@ def _within(worst: float, tol: float, what: str) -> str:
 def _config_for(m_max: int, sizes=(1, 2, 3, 4, 5, 6, 8)) -> tuple[Configuration, ...]:
     """The configuration of each size up to m_max that the checks use."""
     return tuple(
-        eight_liar() if m == 8 else (one_liar() if m == 1 else simple_liar(m))
+        eight_liar() if m == 8 else simple_liar(m)
         for m in sizes
         if m <= m_max
     )

@@ -75,6 +75,24 @@ def test_validate_rejects_split_cycles():
     # identity map is a cycle only for m = 1
     with pytest.raises(NotSingleCycle):
         validate(Configuration(2, (1, 2), (True, False)))
+    # a walk that never revisits within m steps but does not return to 1
+    with pytest.raises(NotSingleCycle):
+        validate(Configuration(2, (2, 2), (True, False)))
+
+
+@pytest.mark.parametrize(
+    "m,referent,negating,error",
+    [
+        (0, (), (), OutOfRange),
+        (2, (2,), (True, False), OutOfRange),
+        (2, (2, 3), (True, False), OutOfRange),
+        (2, (1, 2), (True, False), NotSingleCycle),
+        (2, (2, 2), (True, False), NotSingleCycle),
+    ],
+)
+def test_invalid_configuration_cannot_be_built(m, referent, negating, error):
+    with pytest.raises(error):
+        Configuration(m, referent, negating)
 
 
 def test_paradox_parity():

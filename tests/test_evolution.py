@@ -302,6 +302,8 @@ def test_trace_validation_errors():
         probability_trace(one_liar(), (2, True), (0.0,))
     with pytest.raises(OutOfRange):
         probability_trace(one_liar(), (1, True), (0.0,), sentences=(0,))
+    with pytest.raises(OutOfRange, match="no sentences to trace"):
+        probability_trace(one_liar(), (1, True), (0.0,), sentences=())
     for scale in (0.0, math.inf, math.nan):
         with pytest.raises(OutOfRange):
             probability_trace(one_liar(), (1, True), (0.0,), time_scale=scale)
@@ -312,7 +314,7 @@ def test_trace_validation_errors():
 def test_trace_sentences_are_sorted_unique_and_checked():
     assert trace_sentences(None, 3) == (1, 2, 3)
     assert trace_sentences([3, 1, 3], 3) == (1, 3)
-    for bad in ([0], [1, 4]):
+    for bad in ([0], [1, 4], []):
         with pytest.raises(OutOfRange):
             trace_sentences(bad, 3)
 
@@ -355,6 +357,9 @@ def test_trace_csv_chunks_validate_on_the_call():
         trace_csv_chunks(one_liar(), (2, True), 1.0, 0.5)
     with pytest.raises(OutOfRange):
         trace_csv_chunks(one_liar(), (1, True), 1.0, 0.5, sentences=(2,))
+    # with no rows the row cap never applies, so this grid would be walked
+    with pytest.raises(OutOfRange, match="no sentences to trace"):
+        trace_csv_chunks(one_liar(), (1, True), 1e7, 1.0, sentences=())
     with pytest.raises(OutOfRange, match="must be finite"):
         trace_csv_chunks(one_liar(), (1, True), 1e300, 1e299, time_scale=1e-10)
     chunks = list(trace_csv_chunks(eight_liar(), (1, True), 300.0, 0.1, header_lines=("x",)))

@@ -80,10 +80,15 @@ def test_non_paradoxical_walk_is_rejected():
 
 def test_lookup_helpers():
     cycle = reasoning_cycle(eight_liar())
-    assert cycle.true_step(1) == 1
-    assert cycle.true_step(7) == 5
-    assert cycle.true_step(5) == 8
+    assert cycle.step_of(1, True) == 1
+    assert cycle.step_of(7, True) == 5
+    assert cycle.step_of(5, True) == 8
     assert cycle.hypothesis_at(9) == (1, False)
     # cyclic continuation past one period
     assert cycle.hypothesis_at(17) == (1, True)
     assert cycle.hypothesis_at(16 + 9) == (1, False)
+
+
+def test_step_of_rejects_a_sentence_outside_the_cycle():
+    with pytest.raises(OutOfRange, match=r"^sentence 9 outside 1\.\.8$"):
+        reasoning_cycle(eight_liar()).step_of(9, True)

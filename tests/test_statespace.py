@@ -272,6 +272,25 @@ def test_state_json_round_trip_past_the_int_str_limit():
     assert state_from_json(state_to_json(state)) == state
 
 
+@pytest.mark.parametrize(
+    "entries,embedded",
+    [
+        ((-1, 1), "1"),
+        ((0, 1), "1"),
+        ((1,), "1"),
+        ((5, 1), "5"),
+        ((1, 1), '1"x'),
+        ((1, 1), ""),
+        ((1, 1), "1\u0661"),
+        (np.array([1, 5], dtype=np.int32), "1"),
+    ],
+    ids=["negative", "zero", "short", "above-2m", "quote", "empty", "non-ascii", "int32-above-2m"],
+)
+def test_state_writer_rejects_malformed_terms(entries, embedded):
+    with pytest.raises(OutOfRange, match="malformed term for m = 2"):
+        write_state_json(io.StringIO(), 2, [(entries, embedded, 0.5, 0.0)])
+
+
 _TERM = {"tuple": [1], "embedded": "1", "re": 0.5, "im": 0.0}
 
 
