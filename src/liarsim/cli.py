@@ -141,8 +141,9 @@ def cmd_count(args) -> int:
 
 def cmd_state(args) -> int:
     config = resolve_config(args.config)
-    # The table and the ranks are computed and checked before the output
-    # is opened, so a failure leaves no partial file.
+    # Every check, down to the first row and its rank, runs on this call,
+    # before the output is opened, so a failure leaves no partial file.  The
+    # later rows and ranks are made one at a time as they are written.
     terms = initial_state_terms(config)
     manifest = {"command": "state", "config": args.config}
     with _output(args.out) as out:

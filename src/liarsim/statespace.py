@@ -38,9 +38,12 @@ Hence
                    (next(v) - v + 1) * w_i,
 
 where (n^m - 1)/(n - 1) is the sum of all weights.  A row holds each value
-at most once, so a step costs O(m) digit operations.  ``cycle_ranks``
-evaluates it in ``decimal``, whose integers print in linear time with no
-limit on their length.
+at most once, and sentence i holds v at step t exactly when
+t - t_i = offset of v on C (mod 2m), with t_i its true step, so a step costs
+at most three lookups and multiply-adds.  ``initial_state_terms`` evaluates
+it as it writes each term, in ``decimal``, whose integers print in linear
+time with no limit on their length.  Only the weights and one rank are held,
+never the (2m, m) table that ``cycle_table`` builds for the dense oracle.
 """
 
 from __future__ import annotations
@@ -124,6 +127,21 @@ def canonical_entry_cycle(m: int) -> tuple[int, ...]:
     )
 
 
+def _cycle_frame(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    """The entry cycle C and the true step t_i of every sentence, as int32
+    arrays (entries and steps are at most 2m)."""
+    walk = reasoning_cycle(config)
+    t_true = [walk.step_of(i, True) for i in range(1, config.m + 1)]
+    cycle = canonical_entry_cycle(config.m)
+    return np.asarray(cycle, dtype=np.int32), np.asarray(t_true, dtype=np.int32)
+
+
+def _rows(cycle: np.ndarray, t_true: np.ndarray, t) -> np.ndarray:
+    """Row t of the cycle table, C[(t - t_i) mod 2m] for every sentence i;
+    an array of steps t gives one row per step."""
+    return cycle[np.subtract.outer(t, t_true) % len(cycle)]
+
+
 def cycle_table(config: Configuration) -> np.ndarray:
     """The 2m product basis states visited by one reasoning cycle, in step
     order, anchored at hypothesizing sentence 1 true, as a (2m, m) array.
@@ -131,59 +149,13 @@ def cycle_table(config: Configuration) -> np.ndarray:
     Row t - 1 gives sentence i the entry C[(t - t_i) mod 2m], where t_i is
     the step hypothesizing sentence i true.
     """
-    walk = reasoning_cycle(config)
-    m = config.m
-    # Entries and steps are at most 2m: int32 halves the index temporaries.
-    t_true = np.array([walk.step_of(i, True) for i in range(1, m + 1)], dtype=np.int32)
-    period = 2 * m
-    offsets = np.subtract.outer(np.arange(1, period + 1, dtype=np.int32), t_true)
-    offsets %= period
-    return np.asarray(canonical_entry_cycle(m), dtype=np.int32)[offsets]
+    cycle, t_true = _cycle_frame(config)
+    return _rows(cycle, t_true, np.arange(1, len(cycle) + 1, dtype=np.int32))
 
 
 def cycle_states(config: Configuration) -> tuple[TensorIndex, ...]:
     """The rows of ``cycle_table`` as tuples."""
     return tuple(map(tuple, cycle_table(config).tolist()))
-
-
-def cycle_ranks(table: np.ndarray) -> list[str]:
-    """The exact ``kappa`` rank of every row of a cycle table, as decimal
-    strings, by the step recurrence in the module docstring.
-
-    ``table`` is (rows, m) with entries in 1..2m, each row one reasoning step
-    after the one before it, as ``cycle_table`` returns it.
-    """
-    rows, m = table.shape
-    n = 2 * m
-    if table.min() < 1 or table.max() > n:
-        raise OutOfRange(f"cycle table has an entry outside 1..{n}")
-    cycle = np.asarray(canonical_entry_cycle(m))
-    # entries are at most 2m, so the gathers below stay in int32
-    successor = np.zeros(n + 1, dtype=np.int32)
-    successor[cycle] = np.roll(cycle, -1)
-    if not np.array_equal(successor[table[:-1]], table[1:]):
-        raise OutOfRange("cycle table rows are not consecutive reasoning steps")
-    # next(v) - v + 1: zero except at the exceptional values
-    correction = (successor - np.arange(n + 1, dtype=np.int32) + 1)[table[:-1]]
-    with decimal.localcontext() as ctx:
-        ctx.prec = m * len(str(n)) + 2  # n^m has at most m * digits(n) digits
-        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        weights = [decimal.Decimal(1)]
-        for _ in range(m - 1):
-            weights.append(weights[-1] * n)
-        weights.reverse()
-        deltas = [-sum(weights)] * (rows - 1)
-        hit_t, hit_i = np.nonzero(correction)
-        for t, i, c in zip(
-            hit_t.tolist(), hit_i.tolist(), correction[hit_t, hit_i].tolist()
-        ):
-            deltas[t] += c * weights[i]
-        rank = decimal.Decimal(kappa(tuple(table[0].tolist())))
-        ranks = [str(rank)]
-        for delta in deltas:
-            rank += delta
-            ranks.append(str(rank))
-    return ranks
 
 
 @dataclass(frozen=True)
@@ -248,17 +220,60 @@ def build_initial_state(config: Configuration) -> SparseState:
 
 def initial_state_terms(config: Configuration) -> Iterator[Term]:
     """The terms of ``build_initial_state(config)`` for ``write_state_json``,
-    without building the state.
+    in cycle order, without building the state or the cycle table.
 
-    The table and the ranks are computed and checked by this call, so an
-    invalid configuration fails before anything is written.  Each term's
-    entries are its int32 row of the table, and every term shares the same
-    ``re`` and ``im`` objects.
+    Eager, on the call: the reasoning walk (which rejects a configuration
+    that is not paradoxical), C and its exceptional values, the map from
+    true step to sentence, the weights n^(m-i), and the first row with its
+    rank through ``kappa``.  So every check runs before anything is written.
+    Lazy, per term: the row is one gather from C, and the rank comes from
+    the one before by the step recurrence in the module docstring, in a
+    private exact ``decimal`` context (the caller's context is untouched).
+    Working memory is O(m) besides the weights, about m^2 log10(2m) / 2
+    digits in all.  Each term's entries are its own int32 array, and every
+    term shares the same ``re`` and ``im`` objects.
     """
-    table = cycle_table(config)
-    ranks = cycle_ranks(table)
-    amp = _uniform_amplitude(len(table))
-    return ((row, rank, amp, 0.0) for row, rank in zip(table, ranks))
+    m = config.m
+    n = 2 * m
+    cycle, t_true = _cycle_frame(config)
+    # (offset on C, next(v) - v + 1) of each exceptional value v
+    entries = cycle.tolist()
+    exceptional = []
+    for k, v in enumerate(entries):
+        c = entries[(k + 1) % n] - v + 1
+        if c:
+            exceptional.append((k, c))
+    # the sentence (0-based) whose true step is s mod 2m, or -1
+    sentence_at = [-1] * n
+    for i, t in enumerate(t_true.tolist()):
+        sentence_at[t % n] = i
+    # n^m has at most m * digits(n) digits: exact, or an exception
+    ctx = decimal.Context(
+        prec=m * len(str(n)) + 2, traps=[decimal.Inexact, decimal.Rounded]
+    )
+    weights = [decimal.Decimal(1)]
+    total = weights[0]
+    for _ in range(m - 1):
+        weights.append(ctx.multiply(weights[-1], n))
+        total = ctx.add(total, weights[-1])
+    weights.reverse()
+    step = ctx.minus(total)
+    first = _rows(cycle, t_true, 1)
+    rank = decimal.Decimal(kappa(tuple(first.tolist())))
+    amp = _uniform_amplitude(n)
+
+    def terms() -> Iterator[Term]:
+        r = rank
+        yield first, str(r), amp, 0.0
+        for t in range(1, n):  # from row t to row t + 1
+            r = ctx.add(r, step)
+            for k, c in exceptional:
+                i = sentence_at[(t - k) % n]
+                if i >= 0:
+                    r = ctx.add(r, ctx.multiply(c, weights[i]))
+            yield _rows(cycle, t_true, t + 1), str(r), amp, 0.0
+
+    return terms()
 
 
 def write_state_json(

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import liarsim.verify as verify_mod
 from liarsim import (
@@ -35,8 +35,8 @@ from liarsim.config import MAX_SENTENCES, config_to_json, simple_liar
 from liarsim.evolution import _TRACE_BLOCK_ROWS, MAX_TRACE_ROWS, grid_size
 from liarsim.statespace import (
     canonical_entry_cycle,
-    cycle_ranks,
     cycle_table,
+    initial_state_terms,
     state_from_json,
     state_to_json,
 )
@@ -186,14 +186,17 @@ def paradoxical_configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(paradoxical_configs())
+@example(simple_liar(1))  # one exceptional value on the entry cycle, not three
+@example(simple_liar(2))
 def test_state_export_matches_reference_on_random_configs(config):
     spec = config_to_json(config)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["state", "--config", spec]) == 0
     assert out.getvalue() == _reference_state_text(config, spec)
-    table = cycle_table(config)
-    assert cycle_ranks(table) == [str(kappa(tuple(row))) for row in table.tolist()]
+    table = cycle_table(config).tolist()
+    terms = [(row.tolist(), rank) for row, rank, _, _ in initial_state_terms(config)]
+    assert terms == [(row, str(kappa(tuple(row)))) for row in table]
     state = build_initial_state(config)
     assert state_from_json(state_to_json(state)) == state
     assert state_from_json(out.getvalue()) == state
@@ -417,8 +420,8 @@ def _cli_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def _pipe_closed_early(argv):
-    """Run the CLI with ``argv`` in a subprocess, read 10 bytes of its
+def _pipe_closed_early(argv, size=10):
+    """Run the CLI with ``argv`` in a subprocess, read ``size`` bytes of its
     stdout, close the pipe, and return (exit code, stderr bytes)."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "liarsim.cli", *argv],
@@ -426,7 +429,7 @@ def _pipe_closed_early(argv):
         stderr=subprocess.PIPE,
         env=_cli_env(),
     )
-    assert len(proc.stdout.read(10)) == 10
+    assert len(proc.stdout.read(size)) == size
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -439,6 +442,45 @@ def test_state_reader_closing_the_pipe_early_is_not_an_error():
     code, err = _pipe_closed_early(["state", "--config", "simple:300"])
     assert code == 0
     assert err == b""
+
+
+def test_state_pipe_closed_while_the_terms_are_streamed_is_not_an_error():
+    # the reader leaves inside the first term, while the generator that
+    # makes the rows and ranks is live
+    code, err = _pipe_closed_early(["state", "--config", "simple:2048"], size=100)
+    assert code == 0
+    assert err == b""
+
+
+def _state_peak_kb(tmp_path, m):
+    """VmHWM (kB) of a child process that has run ``state`` at simple:m."""
+    script = (
+        "import sys\n"
+        "from liarsim.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(next(s for s in status if s.startswith('VmHWM:')).split()[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "state", "--config", f"simple:{m}",
+         "--out", str(tmp_path / f"state{m}.json")],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status"
+)
+def test_state_export_peak_memory_does_not_grow_with_the_table(tmp_path):
+    # the terms are made as they are written: no (2m, m) table and no list
+    # of 2m ranks, which at m = 2048 took about 110 MB more than at m = 8
+    grown = _state_peak_kb(tmp_path, 2048) - _state_peak_kb(tmp_path, 8)
+    assert grown < 32 * 1024
 
 
 def test_trace_reader_closing_the_pipe_early_is_not_an_error():

@@ -95,6 +95,24 @@ def test_invalid_configuration_cannot_be_built(m, referent, negating, error):
         Configuration(m, referent, negating)
 
 
+@pytest.mark.parametrize(
+    "m,referent,negating",
+    [
+        (2.0, (2, 1), (True, False)),
+        (True, (1,), (True,)),
+        (2, [2, 1], [True, False]),
+        (2, (2, 1), (1, 0)),
+        (1, (True,), (True,)),
+    ],
+    ids=["float-m", "bool-m", "lists", "int-negations", "bool-referent"],
+)
+def test_configuration_checks_types(m, referent, negating):
+    # nothing is coerced: each input is OutOfRange, not a TypeError or a
+    # configuration that is not hashable
+    with pytest.raises(OutOfRange, match="malformed configuration object"):
+        Configuration(m, referent, negating)
+
+
 def test_paradox_parity():
     assert is_paradoxical(one_liar())
     assert is_paradoxical(Configuration(2, (2, 1), (True, False)))

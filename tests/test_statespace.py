@@ -1,3 +1,4 @@
+import decimal
 import inspect
 import io
 import itertools
@@ -24,7 +25,6 @@ from liarsim import (
 from liarsim.statespace import (
     canonical_entry_cycle,
     check_tensor_index,
-    cycle_ranks,
     cycle_table,
     initial_state_terms,
     state_from_json,
@@ -215,24 +215,28 @@ def test_state_json_extra_keys_and_validation():
         state_from_json(json.dumps(tampered))
 
 
-def test_cycle_ranks_exact_past_the_int_str_limit():
+def test_streamed_ranks_exact_past_the_int_str_limit():
     # ranks at m = 1300 reach 2600^1300, 4,440 digits: past the 4,300-digit
     # default limit of str(int)
-    table = cycle_table(simple_liar(1300))
-    ranks = cycle_ranks(table)
-    assert len(ranks) == 2600
+    config = simple_liar(1300)
+    table = cycle_table(config)
+    terms = list(initial_state_terms(config))
+    assert len(terms) == 2600
     for row in (0, -1):
-        assert Decimal(ranks[row]) == Decimal(kappa(tuple(table[row].tolist())))
+        assert terms[row][0].tolist() == table[row].tolist()
+        assert Decimal(terms[row][1]) == Decimal(kappa(tuple(table[row].tolist())))
 
 
-def test_cycle_ranks_reject_tables_that_are_not_cycles():
-    table = cycle_table(eight_liar())
-    with pytest.raises(OutOfRange):
-        cycle_ranks(table[::-1])
-    bad = table.copy()
-    bad[3, 2] = 17
-    with pytest.raises(OutOfRange):
-        cycle_ranks(bad)
+def test_state_stream_leaves_the_decimal_context_alone():
+    # the ranks use a private exact context: a caller that has taken one
+    # term still has its own precision and traps
+    before = decimal.getcontext().copy()
+    terms = initial_state_terms(eight_liar())
+    next(terms)
+    now = decimal.getcontext()
+    assert (now.prec, now.traps) == (before.prec, before.traps)
+    assert Decimal(1) / Decimal(3) == before.divide(1, 3)  # no Inexact trap
+    assert len(list(terms)) == 15
 
 
 def test_state_json_is_json_dumps_with_indent():
