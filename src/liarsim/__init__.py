@@ -10,6 +10,12 @@ permutation whose matrix logarithm extends the dynamics to continuous time.
 The package exports the API documented in the README, the names the
 acceptance suite uses and the error classes; everything else is imported
 from its own module.
+
+No module imports numpy at import time: each function that computes with
+it imports it itself, after its argument checks.  Every module still loads
+eagerly, so ``import liarsim.cli`` loads the whole package but not numpy,
+and ``count``, ``check-dim`` and every rejected argument or configuration
+finish without it.
 """
 
 from .audit import Contradiction, Satisfiable, verify_minimality

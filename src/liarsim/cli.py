@@ -59,7 +59,13 @@ def resolve_config(spec: str) -> Configuration:
     if text == "eight-liar":
         return eight_liar()
     if text.startswith("simple:"):
-        return simple_liar(int(text.split(":", 1)[1]))
+        try:
+            m = int(text.split(":", 1)[1])
+        except ValueError:
+            raise OutOfRange(
+                f"expected simple:<m> with an integer m, got {spec!r}"
+            ) from None
+        return simple_liar(m)
     if text.startswith("{"):
         return config_from_json(text)
     with open(spec, encoding="utf-8") as fh:

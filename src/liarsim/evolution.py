@@ -46,8 +46,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
 from .config import Configuration, check_sentence
 from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
@@ -78,6 +76,8 @@ def principal_phases(size: int) -> tuple[float, ...]:
 def fourier_frame(size: int) -> np.ndarray:
     """Unitary frame F with F[t, k] = exp(2i*pi*t*k/size)/sqrt(size); column
     k is the shift eigenvector with eigenvalue exp(i * principal_phases[k])."""
+    import numpy as np
+
     t = np.arange(size)
     return np.exp(2j * np.pi * np.outer(t, t) / size) / np.sqrt(size)
 
@@ -85,6 +85,8 @@ def fourier_frame(size: int) -> np.ndarray:
 def frame_operator(size: int, values: np.ndarray) -> np.ndarray:
     """F diag(values) F^dagger for F = ``fourier_frame(size)``: the dense
     operator with eigenvalue values[k] on shift eigenvector k."""
+    import numpy as np
+
     f = fourier_frame(size)
     return f @ np.diag(values) @ f.conj().T
 
@@ -133,12 +135,16 @@ def build_evolution(config: Configuration) -> SubspaceEvolution:
 def step_matrix(ev: SubspaceEvolution) -> np.ndarray:
     """The step permutation as a dense matrix on the cycle basis: column t
     holds a 1 in row (t + 1) mod size."""
+    import numpy as np
+
     return np.roll(np.eye(ev.size), 1, axis=0)
 
 
 def hamiltonian(ev: SubspaceEvolution) -> np.ndarray:
     """Generator H = i log U_D on the cycle basis; Hermitian, with
     eigenvalues -theta_k over the principal eigenphases."""
+    import numpy as np
+
     return frame_operator(ev.size, -np.asarray(principal_phases(ev.size)))
 
 
@@ -146,6 +152,8 @@ def propagator(ev: SubspaceEvolution, tau: float) -> np.ndarray:
     """U(tau) = exp(tau * log U_D) on the cycle basis via the dense spectral
     frame; the reference that the circulant routes are checked against."""
     _check_finite_time(tau)
+    import numpy as np
+
     theta = np.asarray(principal_phases(ev.size))
     return frame_operator(ev.size, np.exp(1j * theta * tau))
 
@@ -162,6 +170,8 @@ def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseSt
     _check_finite_time(tau)
     if tau == int(tau):
         return apply_steps(ev, state, int(tau))
+    import numpy as np
+
     vec = np.zeros(ev.size, dtype=complex)
     for idx, a in state.amplitudes.items():
         vec[ev.position(idx)] = a
@@ -183,6 +193,8 @@ def _cycle_kernel(tau: np.ndarray, d: np.ndarray, size: int) -> np.ndarray:
     """|U(tau)[d, 0]|^2 on the size-cycle for every tau (rows) and
     displacement d (columns): the Fejer kernel of x = tau - d off the
     integers, and the exact indicator of x mod size == 0 on them."""
+    import numpy as np
+
     # Reduce x exactly before any multiplication by pi: tau = whole + frac
     # with |frac| <= 1/2 (both exact), and the whole steps of x are reduced
     # mod size into [-size/2, size/2) in integer arithmetic.
@@ -266,6 +278,7 @@ def _trace_kernel(
     trace_row_count(count, len(sentences))
     # |t| <= t_bound, so every tau is finite when this one is.
     _check_finite_time(t_bound / time_scale)
+    import numpy as np  # after the checks: a rejected trace never loads numpy
 
     size = 2 * m
     # Displacements of the traced hypotheses: all "true" columns, then all
@@ -299,6 +312,8 @@ def probability_trace(
     are ordered time-major, sentence-minor (ascending).  The kernel is the
     closed form described at ``_trace_kernel``.
     """
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     sentences, kernel = _trace_kernel(
         config,
@@ -346,6 +361,8 @@ def _format_distinct(values: np.ndarray, precision: int) -> np.ndarray:
     Values are told apart by their bit patterns: ``np.unique`` on the floats
     would merge -0.0 with 0.0, which print as "-0" and "0".
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     g = f"%.{precision}g"
@@ -408,6 +425,8 @@ def trace_csv_chunks(
     per_block = max(1, _TRACE_BLOCK_ROWS // k)
 
     def chunks():
+        import numpy as np
+
         yield header
         for lo in range(0, count, per_block):
             t = np.arange(lo, min(lo + per_block, count)) * dt

@@ -55,8 +55,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-import numpy as np
-
 from .config import (
     Configuration,
     check_sentence_count,
@@ -133,12 +131,16 @@ def _cycle_frame(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     walk = reasoning_cycle(config)
     t_true = [walk.step_of(i, True) for i in range(1, config.m + 1)]
     cycle = canonical_entry_cycle(config.m)
+    import numpy as np  # after the checks: a rejected configuration never loads numpy
+
     return np.asarray(cycle, dtype=np.int32), np.asarray(t_true, dtype=np.int32)
 
 
 def _rows(cycle: np.ndarray, t_true: np.ndarray, t) -> np.ndarray:
     """Row t of the cycle table, C[(t - t_i) mod 2m] for every sentence i;
     an array of steps t gives one row per step."""
+    import numpy as np
+
     return cycle[np.subtract.outer(t, t_true) % len(cycle)]
 
 
@@ -149,6 +151,8 @@ def cycle_table(config: Configuration) -> np.ndarray:
     Row t - 1 gives sentence i the entry C[(t - t_i) mod 2m], where t_i is
     the step hypothesizing sentence i true.
     """
+    import numpy as np
+
     cycle, t_true = _cycle_frame(config)
     return _rows(cycle, t_true, np.arange(1, len(cycle) + 1, dtype=np.int32))
 
@@ -298,6 +302,8 @@ def write_state_json(
     brings a new object, so terms that share their amplitude objects, as
     ``initial_state_terms``'s do, format them once.
     """
+    import numpy as np
+
     head, tail = json.dumps(
         {**(extra or {}), "m": m, "n": 2 * m, "terms": []}, indent=2
     ).split('\n  "terms": []')

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .audit import verify_minimality
 from .config import (
     Configuration,
@@ -247,6 +245,8 @@ def _integer_steps(m_max: int, rng) -> str:
 
 
 def _spectral(m_max: int, rng) -> str:
+    import numpy as np
+
     worst = 0.0
     for config in _config_for(m_max, (1, 2, 3, 8)):
         ev = build_evolution(config)
@@ -312,6 +312,8 @@ def _completeness(m_max: int, rng) -> str:
 
 
 def _branch_independence(m_max: int, rng) -> str:
+    import numpy as np
+
     for config in _config_for(m_max, (1, 2, 3, 8)):
         m = config.m
         ev = build_evolution(config)
@@ -373,6 +375,8 @@ def run_verification(m_max: int = 8) -> tuple[CheckResult, ...]:
     """Run every check of CHECKS up to configuration size m_max, in order."""
     if not 1 <= m_max <= 8:
         raise OutOfRange(f"verification covers 1 <= m_max <= 8, got {m_max}")
+    import numpy as np  # after the check: a rejected m_max never loads numpy
+
     rng = np.random.default_rng(VERIFY_SEED)
     results = []
     for name, check in CHECKS:

@@ -130,6 +130,16 @@ def test_state_rejects_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["simple:x", "simple:", "simple:1.5"])
+def test_simple_spec_without_an_integer_names_the_spec(spec, capsys):
+    assert main(["trace", "--config", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"liarsim: error: expected simple:<m> with an integer m, got {spec!r}"
+    ]
+
+
 def test_state_error_writes_nothing(tmp_path, capsys):
     target = tmp_path / "x"
     inline = '{"m": 2, "referent": [2, 1], "negating": [true, true]}'
@@ -534,6 +544,101 @@ def test_endless_config_file_exits_one_in_one_line():
     assert proc.stderr.splitlines() == [
         f"liarsim: error: config file is longer than {MAX_CONFIG_BYTES} characters"
     ]
+
+
+PACKAGE_MODULES = (
+    "audit",
+    "cli",
+    "config",
+    "errors",
+    "evolution",
+    "inference",
+    "measurement",
+    "statespace",
+    "verify",
+)
+# Imports ``module``, then runs ``liarsim.cli.main`` on the other arguments
+# (if any) with its output discarded, and prints the exit code ("-" for no
+# run), whether numpy is loaded, and the loaded liarsim modules.
+_IMPORT_PROBE = """\
+import contextlib, importlib, io, sys
+module, argv = sys.argv[1], sys.argv[2:]
+importlib.import_module(module)
+code = "-"
+if argv:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = sys.modules["liarsim.cli"].main(argv)
+print(code)
+print("numpy" in sys.modules)
+print(" ".join(sorted(name for name in sys.modules if name.startswith("liarsim."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "module, argv, code, numpy_loaded",
+    [
+        pytest.param("liarsim", [], "-", False, id="import-liarsim"),
+        pytest.param("liarsim.cli", [], "-", False, id="import-cli"),
+        pytest.param("liarsim.cli", ["count", "--m", "5"], "0", False, id="count"),
+        pytest.param("liarsim.cli", ["check-dim", "--m", "4"], "0", False, id="check-dim"),
+        pytest.param("liarsim.cli", ["--help"], "0", False, id="help"),
+        pytest.param("liarsim.cli", ["trace"], "1", False, id="usage-error"),
+        pytest.param(
+            "liarsim.cli", ["trace", "--config", "simple:0"], "1", False, id="trace-m0"
+        ),
+        pytest.param(
+            "liarsim.cli", ["state", "--config", "simple:0"], "1", False, id="state-m0"
+        ),
+        pytest.param(
+            "liarsim.cli",
+            ["state", "--config", '{"m": 2, "referent": [2, 1], "negating": [true, true]}'],
+            "1",
+            False,
+            id="state-not-paradoxical",
+        ),
+        pytest.param(
+            "liarsim.cli",
+            ["trace", "--config", "eight-liar", "--start", "9:T"],
+            "1",
+            False,
+            id="trace-bad-start",
+        ),
+        pytest.param(
+            "liarsim.cli", ["verify", "--m-max", "9"], "1", False, id="verify-m-max-9"
+        ),
+        pytest.param(
+            "liarsim.cli", ["check-dim", "--m", "5"], "1", False, id="check-dim-m5"
+        ),
+        # the control: a trace computes with numpy
+        pytest.param(
+            "liarsim.cli",
+            ["trace", "--config", "one-liar", "--t-max", "1"],
+            "0",
+            True,
+            id="trace",
+        ),
+    ],
+)
+def test_numpy_is_loaded_only_by_the_commands_that_compute_with_it(
+    module, argv, code, numpy_loaded
+):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, module, *argv],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ran, loaded, modules = proc.stdout.splitlines()
+    assert ran == code
+    assert loaded == str(numpy_loaded)
+    if module == "liarsim.cli":
+        # every layer is loaded eagerly: bench/tracing.py wraps the
+        # functions of each liarsim module it finds in sys.modules
+        assert set(modules.split()) == {f"liarsim.{name}" for name in PACKAGE_MODULES}
+
 
 @pytest.mark.parametrize(
     "extra",
