@@ -15,7 +15,8 @@ No module imports numpy at import time: each function that computes with
 it imports it itself, after its argument checks.  Every module still loads
 eagerly, so ``import liarsim.cli`` loads the whole package but not numpy,
 and ``count``, ``check-dim`` and every rejected argument or configuration
-finish without it.
+finish without it.  No command loads ``numpy.random``: ``verify`` draws its
+samples from the standard library's ``random``.
 """
 
 from .audit import Contradiction, Satisfiable, verify_minimality

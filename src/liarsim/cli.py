@@ -158,6 +158,16 @@ def cmd_state(args) -> int:
     return 0
 
 
+def _echo_float(x: float) -> str:
+    """x in the fewest significant digits, from 12 to 17, that read back as x,
+    so a rerun with the echoed manifest reproduces the run."""
+    for digits in range(12, 17):
+        text = f"{x:.{digits}g}"
+        if float(text) == x:
+            return text
+    return f"{x:.17g}"
+
+
 def _gnuplot_script(csv_path: str, sentences: tuple[int, ...]) -> str:
     quoted = csv_path.replace("'", "''")  # gnuplot's escape inside '...'
     lines = [
@@ -199,9 +209,9 @@ def cmd_trace(args) -> int:
         "command": "trace",
         "config": args.config,
         "start": f"{args.start[0]}:{'T' if args.start[1] else 'F'}",
-        "t_max": f"{t_max:.12g}",
-        "dt": f"{args.dt:.12g}",
-        "time_scale": f"{args.time_scale:.12g}",
+        "t_max": _echo_float(t_max),
+        "dt": _echo_float(args.dt),
+        "time_scale": _echo_float(args.time_scale),
         "renormalize": "off" if args.raw_collapse else "on",
         "sentences": ",".join(str(i) for i in sentences),
         "precision": str(precision),

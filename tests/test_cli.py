@@ -246,6 +246,65 @@ def test_trace_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # 0.1 at 12 digits reads back as another float, and a grid of 80,018
+        # rows in place of 80,010
+        ["--t-max", "1000", "--dt", "0.10000000000003001"],
+        # pi/2 at 12 digits shifts every off-integer probability
+        ["--time-scale", "pi/2"],
+    ],
+    ids=["dt", "time-scale"],
+)
+def test_trace_rerun_from_its_manifest_is_byte_identical(extra, monkeypatch):
+    monkeypatch.delenv("LIARSIM_PRECISION", raising=False)
+    first = _stdout_of(["trace", "--config", "eight-liar", *extra])
+    manifest = dict(
+        line[2:].split("=", 1) for line in first.splitlines() if line.startswith("# ")
+    )
+    argv = ["trace", "--config", manifest["config"], "--start", manifest["start"],
+            "--t-max", manifest["t_max"], "--dt", manifest["dt"],
+            "--time-scale", manifest["time_scale"], "--sentences", manifest["sentences"]]
+    if manifest["renormalize"] == "off":
+        argv.append("--raw-collapse")
+    monkeypatch.setenv("LIARSIM_PRECISION", manifest["precision"])
+    rerun, lines = _stdout_of(argv).splitlines(), first.splitlines()
+    # compared line by line: pytest's diff of two 2.5 MB strings takes minutes
+    mismatches = [(a, b) for a, b in zip(lines, rerun) if a != b]
+    assert (len(rerun), mismatches[:2]) == (len(lines), [])
+
+
+def _readme_example(command):
+    """The lines that README.md shows after ``$ <command>``, up to the end of
+    the code block."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    start = lines.index(f"$ {command}") + 1
+    return "\n".join(lines[start : lines.index("```", start)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "liarsim state --config one-liar",
+        "liarsim trace --config one-liar --t-max 2 --dt 0.5",
+    ],
+    ids=["state", "trace"],
+)
+def test_readme_examples_are_what_the_commands_print(command, monkeypatch):
+    monkeypatch.delenv("LIARSIM_PRECISION", raising=False)
+    assert _stdout_of(command.split()[1:]) == _readme_example(command)
+
+
 def test_state_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["state", "--config", "simple:3", "--out", str(a)]) == 0
@@ -640,6 +699,39 @@ def test_numpy_is_loaded_only_by_the_commands_that_compute_with_it(
         assert set(modules.split()) == {f"liarsim.{name}" for name in PACKAGE_MODULES}
 
 
+# Runs liarsim.cli.main on its arguments with stdout discarded, then prints
+# the exit code and whether numpy and numpy.random are loaded.
+_RANDOM_PROBE = """\
+import contextlib, io, sys
+import liarsim.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = liarsim.cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m-max", "8"],
+        ["state", "--config", "eight-liar"],
+        ["trace", "--config", "eight-liar", "--t-max", "4"],
+    ],
+    ids=["verify", "state", "trace"],
+)
+def test_no_command_loads_numpy_random(argv):
+    # each command computes with numpy, and none of them draws from it
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANDOM_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True False\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -672,6 +764,12 @@ def test_trace_over_the_row_cap_is_rejected_before_any_work(capsys):
     ]
 
 
+def _round_trip_text(x):
+    """The manifest's text of a float: the fewest significant digits, from 12
+    to 17, that read back as x."""
+    return next(f"{x:.{d}g}" for d in range(12, 18) if float(f"{x:.{d}g}") == x)
+
+
 def _reference_trace_text(spec, start, t_max, dt, scale, raw, sentences, precision):
     """The ``trace`` output as the plain algorithm writes it: a ``j * dt``
     tuple of times, the ``TraceRow``s of each time on their own and
@@ -694,9 +792,9 @@ def _reference_trace_text(spec, start, t_max, dt, scale, raw, sentences, precisi
         "command=trace",
         f"config={spec}",
         f"start={start[0]}:{'T' if start[1] else 'F'}",
-        f"t_max={t_max:.12g}",
-        f"dt={dt:.12g}",
-        f"time_scale={scale:.12g}",
+        f"t_max={_round_trip_text(t_max)}",
+        f"dt={_round_trip_text(dt)}",
+        f"time_scale={_round_trip_text(scale)}",
         f"renormalize={'off' if raw else 'on'}",
         "sentences=" + ",".join(str(i) for i in echoed),
         f"precision={precision}",
