@@ -21,7 +21,7 @@ amplitude, to 0.  Contradiction is therefore exact, not a numerical judgement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .errors import OutOfRange, UnsupportedDimension
@@ -42,19 +42,15 @@ def _operator_targets(m: int, n: int) -> tuple[tuple[str, int, TensorIndex, str]
         )
     if n == 2 * m - 1 and m < 2:
         raise OutOfRange("the reduced-dimension system needs m >= 2 distinct entries")
-    ops = []
-    for i in range(1, m + 1):
-        ops.append(("tau", i, (i,) * m, f"t{i}"))
-    if n == 2 * m:
-        for i in range(1, m + 1):
-            ops.append(("phi", i, (m + i,) * m, f"f{i}"))
-    else:
-        for i in range(1, m):
-            ops.append(("phi", i, (m + i,) * m, f"f{i}"))
-        # entry 2m does not exist here, so the last falsehood target is
-        # forced back onto low entries already used by the truth targets
-        ops.append(("phi", m, (1,) * (m - 1) + (2,), f"f{m}"))
-    return tuple(ops)
+    tau = [("tau", i, (i,) * m, f"t{i}") for i in range(1, m + 1)]
+    # Falsehood target i is entry m + i throughout.  At n = 2m - 1 entry 2m
+    # does not exist, so the last one is forced back onto low entries already
+    # used by the truth targets.
+    phi = [
+        ("phi", i, (m + i,) * m if m + i <= n else (1,) * (m - 1) + (2,), f"f{i}")
+        for i in range(1, m + 1)
+    ]
+    return tuple(tau + phi)
 
 
 @dataclass(frozen=True)
@@ -175,10 +171,5 @@ def report_to_json(report: MinimalityReport) -> str:
         "passed": report.passed,
     }
     if isinstance(report.contradiction, Contradiction):
-        w = report.contradiction.witness
-        doc["witness"] = {
-            "nonzero_amplitude": w.nonzero_amplitude,
-            "unit_coefficient": w.unit_coefficient,
-            "violated_zero_product": w.violated_zero_product,
-        }
+        doc["witness"] = asdict(report.contradiction.witness)
     return json.dumps(doc, indent=2)

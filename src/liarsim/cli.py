@@ -18,6 +18,7 @@ import contextlib
 import math
 import os
 import sys
+from dataclasses import astuple
 
 from .audit import AUDIT_BOUND, Contradiction, report_to_json, verify_minimality
 from .config import (
@@ -178,16 +179,12 @@ def _gnuplot_script(csv_path: str, sentences: tuple[int, ...]) -> str:
         "set yrange [-0.02:1.02]",
         "set key outside right",
     ]
-    plots = []
-    for i in sentences:
-        plots.append(
-            f"'{quoted}' using 1:($2 == {i} ? $3 : 1/0) with lines"
-            f" title 'sentence {i} true'"
-        )
-        plots.append(
-            f"'{quoted}' using 1:($2 == {i} ? $4 : 1/0) with lines"
-            f" title 'sentence {i} false'"
-        )
+    plots = [
+        f"'{quoted}' using 1:($2 == {i} ? ${column} : 1/0) with lines"
+        f" title 'sentence {i} {value}'"
+        for i in sentences
+        for column, value in ((3, "true"), (4, "false"))
+    ]
     lines.append("plot \\")
     lines.append(", \\\n".join("  " + p for p in plots))
     return "\n".join(lines) + "\n"
@@ -247,11 +244,9 @@ def cmd_check_dim(args) -> int:
     for line in report.contradiction.transcript:
         print(f"  {line}")
     if isinstance(report.contradiction, Contradiction):
-        w = report.contradiction.witness
         print("witness facts:")
-        print(f"  1. {w.nonzero_amplitude}")
-        print(f"  2. {w.unit_coefficient}")
-        print(f"  3. {w.violated_zero_product}")
+        for k, fact in enumerate(astuple(report.contradiction.witness), start=1):
+            print(f"  {k}. {fact}")
     print(report_to_json(report))
     return 0 if report.passed else 2
 

@@ -43,7 +43,7 @@ t - t_i = offset of v on C (mod 2m), with t_i its true step, so a step costs
 at most three lookups and multiply-adds.  ``initial_state_terms`` evaluates
 it as it writes each term, in ``decimal``, whose integers print in linear
 time with no limit on their length.  Only the weights and one rank are held,
-never the (2m, m) table that ``cycle_table`` builds for the dense oracle.
+never the 2m rows that ``cycle_states`` builds for the dense oracle.
 """
 
 from __future__ import annotations
@@ -137,29 +137,22 @@ def _cycle_frame(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows(cycle: np.ndarray, t_true: np.ndarray, t) -> np.ndarray:
-    """Row t of the cycle table, C[(t - t_i) mod 2m] for every sentence i;
-    an array of steps t gives one row per step."""
+    """Cycle state t as its entries C[(t - t_i) mod 2m] for every sentence i;
+    a sequence of steps t gives one row per step."""
     import numpy as np
 
     return cycle[np.subtract.outer(t, t_true) % len(cycle)]
 
 
-def cycle_table(config: Configuration) -> np.ndarray:
+def cycle_states(config: Configuration) -> tuple[TensorIndex, ...]:
     """The 2m product basis states visited by one reasoning cycle, in step
-    order, anchored at hypothesizing sentence 1 true, as a (2m, m) array.
+    order, anchored at hypothesizing sentence 1 true.
 
-    Row t - 1 gives sentence i the entry C[(t - t_i) mod 2m], where t_i is
+    State t gives sentence i the entry C[(t - t_i) mod 2m], where t_i is
     the step hypothesizing sentence i true.
     """
-    import numpy as np
-
-    cycle, t_true = _cycle_frame(config)
-    return _rows(cycle, t_true, np.arange(1, len(cycle) + 1, dtype=np.int32))
-
-
-def cycle_states(config: Configuration) -> tuple[TensorIndex, ...]:
-    """The rows of ``cycle_table`` as tuples."""
-    return tuple(map(tuple, cycle_table(config).tolist()))
+    rows = _rows(*_cycle_frame(config), range(1, 2 * config.m + 1))
+    return tuple(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -224,7 +217,7 @@ def build_initial_state(config: Configuration) -> SparseState:
 
 def initial_state_terms(config: Configuration) -> Iterator[Term]:
     """The terms of ``build_initial_state(config)`` for ``write_state_json``,
-    in cycle order, without building the state or the cycle table.
+    in cycle order, without building the state or its 2m rows at once.
 
     Eager, on the call: the reasoning walk (which rejects a configuration
     that is not paradoxical), C and its exceptional values, the map from

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .audit import verify_minimality
 from .config import (
@@ -33,6 +34,7 @@ from .evolution import (
     frame_operator,
     hamiltonian,
     principal_phases,
+    probability_trace,
     propagate,
     propagator,
     step_matrix,
@@ -45,6 +47,7 @@ from .measurement import (
     single_entry_projector,
 )
 from .statespace import (
+    SparseState,
     TensorIndex,
     build_initial_state,
     cycle_states,
@@ -116,8 +119,11 @@ def _require(ok: bool, detail: str) -> None:
         raise CheckFailed(detail)
 
 
-def _within(worst: float, tol: float, what: str) -> str:
-    """The detail line of a tolerance check, raised when worst exceeds tol."""
+def _within(residuals: Iterable[float], tol: float, what: str) -> str:
+    """The detail line of a tolerance check over all its residuals, raised
+    unless every one is at most tol.  A NaN residual counts as the worst, so
+    it fails and the detail names it."""
+    worst = max(residuals, key=lambda x: math.inf if math.isnan(x) else x)
     detail = f"max {what} {worst:.3e}"
     _require(worst <= tol, detail)
     return detail
@@ -223,51 +229,73 @@ def _integer_steps(m_max: int, rng) -> str:
         for start_value in (True, False):
             state, _ = collapse(psi0, hypothesis_projector(1, start_value, m))
             t0 = cycle.step_of(1, start_value)
+            # the shipped trace route, at every integer time at once
+            traced = probability_trace(config, (1, start_value), range(period + 1))
             for t in range(0, period + 1):
-                expect_sentence, expect_value = cycle.hypothesis_at(
-                    (t0 - 1 + t) % period + 1
-                )
+                expect = cycle.hypothesis_at(t0 + t)
                 stepped = apply_steps(ev, state, t)
                 smooth = propagate(ev, state, float(t))
                 for j in range(1, m + 1):
+                    row = traced[t * m + j - 1]
                     for v in (True, False):
-                        want = 1.0 if (j, v) == (expect_sentence, expect_value) else 0.0
+                        want = 1.0 if (j, v) == expect else 0.0
                         proj = hypothesis_projector(j, v, m)
-                        for label, phi, tol in (
-                            ("stepped", stepped, ADDITIVITY_TOLERANCE),
-                            ("smooth", smooth, SPECTRAL_TOLERANCE),
+                        stepped_p = projection_probability(stepped, proj)
+                        smooth_p = projection_probability(smooth, proj)
+                        for label, p, tol in (
+                            ("stepped", stepped_p, ADDITIVITY_TOLERANCE),
+                            ("smooth", smooth_p, SPECTRAL_TOLERANCE),
+                            ("traced", row.p_true if v else row.p_false, 0.0),  # exact
                         ):
-                            p = projection_probability(phi, proj)
-                            _require(
-                                abs(p - want) <= tol,
-                                f"m={m} t={t} ({j},{v}): {label} {p}, want {want}",
-                            )
+                            # the detail is formatted only on a failure
+                            if not abs(p - want) <= tol:
+                                raise CheckFailed(
+                                    f"m={m} t={t} ({j},{v}): {label} {p}, want {want}"
+                                )
     return "hypothesis indicators match the cycle"
 
 
 def _spectral(m_max: int, rng) -> str:
+    """The dense frame's group laws, and the shipped routes against it: the
+    circulant ``propagate`` of the start basis state against the column of
+    U(tau), and a ``probability_trace`` at the same tau against |U(tau)|^2
+    at each hypothesis."""
     import numpy as np
 
-    worst = 0.0
+    residuals = []
     for config in _config_for(m_max, (1, 2, 3, 8)):
+        m = config.m
         ev = build_evolution(config)
         u_d = step_matrix(ev)
         eye = np.eye(ev.size)
-        worst = max(worst, float(np.abs(propagator(ev, 1.0) - u_d).max()))
+        residuals.append(np.abs(propagator(ev, 1.0) - u_d).max())
         h = hamiltonian(ev)
-        worst = max(worst, float(np.abs(h - h.conj().T).max()))
+        residuals.append(np.abs(h - h.conj().T).max())
+        # the start hypothesis (1, True) is step 1 of the walk: position 0
+        start = SparseState(m, {ev.basis[0]: 1.0})
+        taus, columns = [], []
         for _ in range(25):
-            tau = rng.uniform(-4 * config.m, 4 * config.m)
-            sigma = rng.uniform(-4 * config.m, 4 * config.m)
+            tau = rng.uniform(-4 * m, 4 * m)
+            sigma = rng.uniform(-4 * m, 4 * m)
             u_tau = propagator(ev, tau)
-            worst = max(worst, float(np.abs(u_tau @ u_tau.conj().T - eye).max()))
+            residuals.append(np.abs(u_tau @ u_tau.conj().T - eye).max())
             residual = u_tau @ propagator(ev, sigma) - propagator(ev, tau + sigma)
-            worst = max(worst, float(np.abs(residual).max()))
-    return _within(worst, SPECTRAL_TOLERANCE, "residual")
+            residuals.append(np.abs(residual).max())
+            moved = propagate(ev, start, tau)
+            column = np.array([moved.amplitude(idx) for idx in ev.basis])
+            residuals.append(np.abs(column - u_tau[:, 0]).max())
+            taus.append(tau)
+            columns.append(u_tau[:, 0])
+        walk = reasoning_cycle(config)
+        hypotheses = [walk.step_of(i, v) - 1 for i in range(1, m + 1) for v in (True, False)]
+        traced = probability_trace(config, (1, True), taus)
+        p = np.array([(r.p_true, r.p_false) for r in traced]).reshape(len(taus), -1)
+        residuals.append(np.abs(p - np.abs(np.array(columns)[:, hypotheses]) ** 2).max())
+    return _within(residuals, SPECTRAL_TOLERANCE, "residual")
 
 
 def _initial_state_invariance(m_max: int, rng) -> str:
-    worst = 0.0
+    residuals = []
     for config in _config_for(m_max):
         ev = build_evolution(config)
         psi0 = build_initial_state(config)
@@ -277,12 +305,12 @@ def _initial_state_invariance(m_max: int, rng) -> str:
             delta = sum(
                 abs(moved.amplitude(idx) - psi0.amplitude(idx)) ** 2 for idx in ev.basis
             )
-            worst = max(worst, delta**0.5)
-    return _within(worst, SPECTRAL_TOLERANCE, "deviation")
+            residuals.append(delta**0.5)
+    return _within(residuals, SPECTRAL_TOLERANCE, "deviation")
 
 
 def _completeness(m_max: int, rng) -> str:
-    worst = 0.0
+    residuals = []
     for config in _config_for(m_max):
         m = config.m
         for i in range(1, m + 1):
@@ -309,8 +337,8 @@ def _completeness(m_max: int, rng) -> str:
                     projection_probability(phi, single_entry_projector(i, j, m))
                     for j in range(1, 2 * m + 1)
                 )
-                worst = max(worst, abs(total - 1.0))
-    return _within(worst, ADDITIVITY_TOLERANCE, "additivity defect")
+                residuals.append(abs(total - 1.0))
+    return _within(residuals, ADDITIVITY_TOLERANCE, "additivity defect")
 
 
 def _branch_independence(m_max: int, rng) -> str:
@@ -320,20 +348,18 @@ def _branch_independence(m_max: int, rng) -> str:
         m = config.m
         ev = build_evolution(config)
         size = ev.size
-        flipped = tuple(
-            -theta if abs(abs(theta) - np.pi) < 1e-12 else theta
-            for theta in principal_phases(size)
-        )
+        theta = principal_phases(size)
+        flipped = np.where(np.abs(np.abs(theta) - np.pi) < 1e-12, -theta, theta)
         u_d = step_matrix(ev)
         power = np.eye(size)
         for t in range(0, size + 1):
-            alt = frame_operator(size, np.exp(1j * np.asarray(flipped) * t))
+            alt = frame_operator(size, np.exp(1j * flipped * t))
             _require(
                 np.abs(alt - power).max() <= SPECTRAL_TOLERANCE,
                 f"m={m}: integer step t={t} differs",
             )
             power = u_d @ power
-        half = frame_operator(size, np.exp(1j * np.asarray(flipped) * 0.5))
+        half = frame_operator(size, np.exp(1j * flipped * 0.5))
         _require(
             np.abs(half - propagator(ev, 0.5)).max() > SPECTRAL_TOLERANCE,
             f"m={m}: branch flip had no effect",

@@ -18,6 +18,7 @@ from liarsim import (
     Configuration,
     build_initial_state,
     count_paradoxical,
+    cycle_states,
     kappa,
     probability_trace,
     reasoning_cycle,
@@ -35,7 +36,6 @@ from liarsim.config import MAX_SENTENCES, config_to_json, simple_liar
 from liarsim.evolution import _TRACE_BLOCK_ROWS, MAX_TRACE_ROWS, grid_size
 from liarsim.statespace import (
     canonical_entry_cycle,
-    cycle_table,
     initial_state_terms,
     state_from_json,
     state_to_json,
@@ -150,6 +150,30 @@ def test_state_error_writes_nothing(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def _assert_same_bytes(got: str, want: str) -> None:
+    """Byte equality of two outputs.  A mismatch fails with the line counts
+    and the first differing line, since pytest's diff of two long texts can
+    run for minutes."""
+    if got.encode() == want.encode():
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    pytest.fail(
+        f"{len(a)} lines, want {len(b)}; first difference at line {k + 1}:"
+        f" {a[k:k + 1]!r}, want {b[k:k + 1]!r}",
+        pytrace=False,
+    )
+
+
+def test_byte_comparison_names_the_first_difference():
+    want = "".join(f"{k}\n" for k in range(80_000))
+    with pytest.raises(pytest.fail.Exception, match="80000 lines, want 80000; .* line 5: "):
+        _assert_same_bytes(want.replace("4\n", "x\n", 1), want)
+    with pytest.raises(pytest.fail.Exception, match="79999 lines, want 80000; .* line 80000: "):
+        _assert_same_bytes(want[:-6], want)
+    _assert_same_bytes(want, want)
+
+
 def _reference_state_text(config: Configuration, spec: str) -> str:
     """The ``state`` output as the plain algorithm writes it: every tuple
     walked entry by entry, ``kappa`` per tuple, one ``json.dumps``."""
@@ -178,7 +202,7 @@ def _reference_state_text(config: Configuration, spec: str) -> str:
 )
 def test_state_output_matches_reference_document(spec, capsys):
     assert main(["state", "--config", spec]) == 0
-    assert capsys.readouterr().out == _reference_state_text(resolve_config(spec), spec)
+    _assert_same_bytes(capsys.readouterr().out, _reference_state_text(resolve_config(spec), spec))
 
 
 @st.composite
@@ -203,10 +227,9 @@ def test_state_export_matches_reference_on_random_configs(config):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["state", "--config", spec]) == 0
-    assert out.getvalue() == _reference_state_text(config, spec)
-    table = cycle_table(config).tolist()
-    terms = [(row.tolist(), rank) for row, rank, _, _ in initial_state_terms(config)]
-    assert terms == [(row, str(kappa(tuple(row)))) for row in table]
+    _assert_same_bytes(out.getvalue(), _reference_state_text(config, spec))
+    terms = [(tuple(row.tolist()), rank) for row, rank, _, _ in initial_state_terms(config)]
+    assert terms == [(row, str(kappa(row))) for row in cycle_states(config)]
     state = build_initial_state(config)
     assert state_from_json(state_to_json(state)) == state
     assert state_from_json(out.getvalue()) == state
@@ -276,10 +299,7 @@ def test_trace_rerun_from_its_manifest_is_byte_identical(extra, monkeypatch):
     if manifest["renormalize"] == "off":
         argv.append("--raw-collapse")
     monkeypatch.setenv("LIARSIM_PRECISION", manifest["precision"])
-    rerun, lines = _stdout_of(argv).splitlines(), first.splitlines()
-    # compared line by line: pytest's diff of two 2.5 MB strings takes minutes
-    mismatches = [(a, b) for a, b in zip(lines, rerun) if a != b]
-    assert (len(rerun), mismatches[:2]) == (len(lines), [])
+    _assert_same_bytes(_stdout_of(argv), first)
 
 
 def _readme_example(command):
@@ -830,7 +850,7 @@ def _check_trace_bytes(spec, start=(1, True), t_max=None, dt=0.25, scale="1",
     want = _reference_trace_text(
         spec, start, t_max, dt, SCALES[scale], raw, sentences, precision
     )
-    assert out.getvalue().encode() == want.encode()
+    _assert_same_bytes(out.getvalue(), want)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from liarsim import (
     step_matrix,
     trace_to_csv,
 )
+from liarsim.config import MAX_SENTENCES
 from liarsim.evolution import (
     MAX_TRACE_ROWS,
     SubspaceEvolution,
@@ -38,13 +39,14 @@ from liarsim.evolution import (
     trace_row_count,
     trace_sentences,
 )
+from liarsim.statespace import _uniform_amplitude
 
 TOL = 1e-10
 
 
 def test_principal_phases_convention():
-    assert principal_phases(2) == (0.0, math.pi)
-    p4 = principal_phases(4)
+    assert principal_phases(2).tolist() == [0.0, math.pi]
+    p4 = principal_phases(4).tolist()
     assert p4[0] == 0.0
     assert p4[1] == pytest.approx(-math.pi / 2)
     assert p4[2] == pytest.approx(math.pi)  # -1 branch lands on +pi
@@ -228,6 +230,29 @@ def test_trace_raw_collapse_keeps_measurement_weight():
     # raw probabilities carry the initial outcome weight 1/(2m)
     assert by[(0.0, 1)].p_true == pytest.approx(1 / (2 * m), abs=TOL)
     assert by[(8.0, 1)].p_false == pytest.approx(1 / (2 * m), abs=TOL)
+
+
+def test_renormalized_collapse_weight_is_one_at_every_size():
+    # the trace kernel's weight 1.0 stands for the exact route's float
+    # (a / sqrt(a**2))**2 with a = 1/sqrt(N): checked at every even N
+    for size in range(2, 2 * MAX_SENTENCES + 1, 2):
+        a = _uniform_amplitude(size)
+        assert (a / math.sqrt(a**2)) ** 2 == 1.0, size
+
+
+def test_trace_near_zero_tau_is_the_integer_limit():
+    # pi * tau loses bits in the subnormal range; the closed form gave
+    # p_true 1.00041950707 at tau = 3e-320 and 0.999685559313 at 1e-320
+    for config, times, scale in (
+        (eight_liar(), (1e-20, 2e-20, 3e-20), 1e300),
+        (one_liar(), (1e-320, -1e-320, 5e-324), 1.0),
+    ):
+        for r in probability_trace(config, (1, True), times, time_scale=scale):
+            assert (r.p_true, r.p_false) == (float(r.sentence == 1), 0.0), r
+    sweep = [s * 10.0**e for e in range(-323, -250) for s in (1, -1)]
+    for r in probability_trace(eight_liar(), (1, True), sweep):
+        if r.sentence == 1:
+            assert 1.0 - 1e-15 <= r.p_true <= 1.0, r
 
 
 def test_trace_additivity_of_hypothesis_probabilities():

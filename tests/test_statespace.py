@@ -25,7 +25,6 @@ from liarsim import (
 from liarsim.statespace import (
     canonical_entry_cycle,
     check_tensor_index,
-    cycle_table,
     initial_state_terms,
     state_from_json,
     state_to_json,
@@ -219,12 +218,12 @@ def test_streamed_ranks_exact_past_the_int_str_limit():
     # ranks at m = 1300 reach 2600^1300, 4,440 digits: past the 4,300-digit
     # default limit of str(int)
     config = simple_liar(1300)
-    table = cycle_table(config)
+    states = cycle_states(config)
     terms = list(initial_state_terms(config))
     assert len(terms) == 2600
     for row in (0, -1):
-        assert terms[row][0].tolist() == table[row].tolist()
-        assert Decimal(terms[row][1]) == Decimal(kappa(tuple(table[row].tolist())))
+        assert tuple(terms[row][0].tolist()) == states[row]
+        assert Decimal(terms[row][1]) == Decimal(kappa(states[row]))
 
 
 def test_state_stream_leaves_the_decimal_context_alone():

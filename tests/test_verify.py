@@ -1,10 +1,13 @@
+import math
 import random
 import re
 
+import numpy as np
 import pytest
 
+import liarsim.evolution as evolution
 import liarsim.verify as verify_mod
-from liarsim import OutOfRange
+from liarsim import OutOfRange, SparseState
 from liarsim.audit import MinimalityReport, solve_constraints
 from liarsim.verify import all_passed, run_verification
 
@@ -112,3 +115,63 @@ def test_dimension_audit_failure_is_caught(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "verify_minimality", solvable_below)
     assert _failed("dimension-audit") == "m=2 report failed"
+
+
+def _nan_propagator(ev, tau):
+    return evolution.propagator(ev, tau) * math.nan
+
+
+def _nan_propagate(ev, state, tau):
+    return SparseState(state.m, {idx: complex(math.nan) for idx in ev.basis})
+
+
+@pytest.mark.parametrize(
+    "name, target, fake, what",
+    [
+        ("spectral", "propagator", _nan_propagator, "residual"),
+        ("initial-state-invariance", "propagate", _nan_propagate, "deviation"),
+        ("completeness", "propagate", _nan_propagate, "additivity defect"),
+    ],
+)
+def test_nan_residual_fails(monkeypatch, name, target, fake, what):
+    # max(worst, nan) keeps worst, so a fold of residuals by max passed these
+    monkeypatch.setattr(verify_mod, target, fake)
+    assert _failed(name) == f"max {what} nan"
+
+
+def _results_with(monkeypatch, module, name, fake):
+    monkeypatch.setattr(module, name, fake)
+    return {r.name: r.passed for r in run_verification(8)}
+
+
+def test_wrong_trace_displacement_is_caught(monkeypatch):
+    # the shipped kernel with x = tau + d instead of tau - d
+    real = evolution._cycle_kernel
+    passed = _results_with(
+        monkeypatch, evolution, "_cycle_kernel", lambda tau, d, size: real(tau, -d, size)
+    )
+    assert not passed["integer-steps"] and not passed["spectral"]
+
+
+def test_off_integer_trace_scaling_is_caught(monkeypatch):
+    # right at every integer time, 0.1% high between them
+    real = evolution._cycle_kernel
+
+    def scaled(tau, d, size):
+        return real(tau, d, size) * np.where(tau == np.round(tau), 1.0, 1.001)[:, None]
+
+    passed = _results_with(monkeypatch, evolution, "_cycle_kernel", scaled)
+    assert passed["integer-steps"] and not passed["spectral"]
+    assert sum(not ok for ok in passed.values()) == 1
+
+
+def test_conjugated_propagate_is_caught(monkeypatch):
+    # U(-tau) in place of U(tau): every probability is unchanged, so only
+    # the comparison of amplitudes with the dense column can see it
+    def conjugated(ev, state, tau):
+        moved = evolution.propagate(ev, state, tau)
+        return SparseState(moved.m, {k: a.conjugate() for k, a in moved.amplitudes.items()})
+
+    passed = _results_with(monkeypatch, verify_mod, "propagate", conjugated)
+    assert not passed["spectral"]
+    assert sum(not ok for ok in passed.values()) == 1
