@@ -14,7 +14,10 @@ convolution, and after the start hypothesis is collapsed every trace
 probability is the closed-form Fejer kernel of tau minus the target's
 displacement (see ``_trace_kernel``, whose kernel both
 ``probability_trace`` and ``trace_csv_chunks`` apply).  Integer times take
-the exact permutation route.  The dense spectral frame (``fourier_frame``,
+the exact permutation route.  The kernel, ``propagate`` and ``propagator``
+all split tau = w + f exactly, with w = round(tau), and apply
+U_D^(w mod 2m) U(f), so the eigenphases multiply only the fraction and a
+large tau keeps its bits.  The dense spectral frame (``fourier_frame``,
 ``propagator``, ``hamiltonian``) is built only on demand and is kept as the
 verification oracle for small m.
 
@@ -132,11 +135,20 @@ def hamiltonian(ev: SubspaceEvolution) -> np.ndarray:
 
 def propagator(ev: SubspaceEvolution, tau: float) -> np.ndarray:
     """U(tau) = exp(tau * log U_D) on the cycle basis via the dense spectral
-    frame; the reference that the circulant routes are checked against."""
+    frame; the reference that the circulant routes are checked against.
+
+    As in ``_cycle_kernel``, tau = w + f is split exactly first, with
+    w = round(tau): U(tau) = U_D^(w mod size) U(f), so the phases never
+    multiply a large tau and the fraction keeps its bits.
+    """
     _check_finite_time(tau)
     import numpy as np
 
-    return frame_operator(ev.size, np.exp(1j * principal_phases(ev.size) * tau))
+    whole = round(float(tau))
+    phases = np.exp(1j * principal_phases(ev.size) * (tau - whole))
+    # U_D^shift U(f): its row t is row t - shift of U(f)
+    shift = whole % ev.size
+    return frame_operator(ev.size, phases).take(range(-shift, ev.size - shift), axis=0)
 
 
 def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseState:
@@ -146,17 +158,20 @@ def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseSt
     convention makes U(tau) a plain power of the step matrix.  Otherwise
     U(tau) is circulant with first column c = ifft(exp(i*theta*tau)) over
     the principal eigenphases, and it acts on the position vector v as the
-    circular convolution c * v = ifft(exp(i*theta*tau) fft(v)).
+    circular convolution c * v = ifft(exp(i*theta*tau) fft(v)).  As in
+    ``propagator``, tau = w + f is split exactly first: v moves w mod size
+    positions as in ``apply_steps``, and the convolution runs with f.
     """
     _check_finite_time(tau)
     if tau == int(tau):
         return apply_steps(ev, state, int(tau))
     import numpy as np
 
+    whole = round(float(tau))
     vec = np.zeros(ev.size, dtype=complex)
     for idx, a in state.amplitudes.items():
-        vec[ev.position(idx)] = a
-    phases = np.exp(1j * principal_phases(ev.size) * tau)
+        vec[(ev.position(idx) + whole) % ev.size] = a
+    phases = np.exp(1j * principal_phases(ev.size) * (tau - whole))
     out = np.fft.ifft(phases * np.fft.fft(vec))
     return SparseState(state.m, {idx: complex(out[t]) for t, idx in enumerate(ev.basis)})
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import Configuration, check_sentence
+from .config import Configuration, check_sentence, is_paradoxical
 from .errors import NotParadoxical, OutOfRange
 
 
@@ -40,6 +40,8 @@ class ReasoningCycle:
 
     def step_of(self, sentence: int, value: bool) -> int:
         """Position at which ``sentence`` is hypothesized to have ``value``."""
+        if not isinstance(value, bool):
+            raise OutOfRange(f"truth value must be True or False, got {value!r}")
         try:
             return self.positions[sentence, value]
         except KeyError:
@@ -68,17 +70,17 @@ def reasoning_cycle(
 ) -> ReasoningCycle:
     """Closed 2m-step hypothesis walk from the given start hypothesis.
 
-    Raises NotParadoxical when the walk closes after m steps with the start
-    value unflipped (even negation count).
+    Raises NotParadoxical for an even negation count, where the walk would
+    close after m steps with the start value unflipped.
     """
+    if not is_paradoxical(config):
+        raise NotParadoxical("walk closed after m steps without flipping the start value")
+    if not isinstance(start_value, bool):
+        raise OutOfRange(f"truth value must be True or False, got {start_value!r}")
     m = config.m
     steps = [HypothesisStep(1, start_sentence, start_value)]
     sentence, value = start_sentence, start_value
     for k in range(2, 2 * m + 1):
         sentence, value = infer_next(config, sentence, value)
-        if k == m + 1 and (sentence, value) == (start_sentence, start_value):
-            raise NotParadoxical(
-                "walk closed after m steps without flipping the start value"
-            )
         steps.append(HypothesisStep(k, sentence, value))
     return ReasoningCycle(m, tuple(steps))

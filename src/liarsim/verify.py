@@ -107,16 +107,12 @@ class CheckResult:
 
 
 class CheckFailed(Exception):
-    """Raised by a check with its FAIL detail."""
+    """Raised by a check at the comparison that fails, with its FAIL detail;
+    a detail is formatted only on a failure."""
 
 
 def all_passed(results: tuple[CheckResult, ...]) -> bool:
     return all(r.passed for r in results)
-
-
-def _require(ok: bool, detail: str) -> None:
-    if not ok:
-        raise CheckFailed(detail)
 
 
 def _within(residuals: Iterable[float], tol: float, what: str) -> str:
@@ -125,7 +121,8 @@ def _within(residuals: Iterable[float], tol: float, what: str) -> str:
     it fails and the detail names it."""
     worst = max(residuals, key=lambda x: math.inf if math.isnan(x) else x)
     detail = f"max {what} {worst:.3e}"
-    _require(worst <= tol, detail)
+    if not worst <= tol:
+        raise CheckFailed(detail)
     return detail
 
 
@@ -143,15 +140,14 @@ def _counting(m_max: int, rng) -> str:
     for m in range(1, min(m_max, 5) + 1):
         expected = count_paradoxical(m)
         found = sum(1 for _ in enumerate_paradoxical(m))
-        _require(found == expected, f"m={m}: enumerated {found}, counted {expected}")
+        if found != expected:
+            raise CheckFailed(f"m={m}: enumerated {found}, counted {expected}")
         counts.append(expected)
     # the closed form against (m-1)! cycles times the odd-size negation sets
     for m in range(1, 21):
         odd = sum(math.comb(m, k) for k in range(1, m + 1, 2))
-        _require(
-            count_paradoxical(m) == math.factorial(m - 1) * odd,
-            f"closed form mismatch at m={m}",
-        )
+        if count_paradoxical(m) != math.factorial(m - 1) * odd:
+            raise CheckFailed(f"closed form mismatch at m={m}")
     return f"enumerated {counts}, closed form to m=20"
 
 
@@ -160,18 +156,13 @@ def _cycle_closure(m_max: int, rng) -> str:
     for config in configs:
         m = config.m
         for start_value in (True, False):
-            cycle = reasoning_cycle(config, 1, start_value)
-            seen: dict[int, list] = {}
-            for s in cycle.steps:
-                seen.setdefault(s.sentence, []).append(s)
+            walk = reasoning_cycle(config, 1, start_value)
+            # 2m distinct hypotheses over m sentences: each once with each value
+            if len(walk.positions) != 2 * m:
+                raise CheckFailed(f"m={m}: {len(walk.positions)} distinct hypotheses")
             for i in range(1, m + 1):
-                occ = seen.get(i, [])
-                _require(len(occ) == 2, f"m={m}: sentence {i} appears {len(occ)}x")
-                gap = (occ[1].step - occ[0].step) % (2 * m)
-                _require(
-                    gap == m and occ[0].value != occ[1].value,
-                    f"m={m}: sentence {i} occurrences not complementary m apart",
-                )
+                if (walk.step_of(i, False) - walk.step_of(i, True)) % (2 * m) != m:
+                    raise CheckFailed(f"m={m}: sentence {i} values not m steps apart")
     return f"{len(configs)} configs, both starts"
 
 
@@ -184,13 +175,9 @@ def _no_degenerescence(m_max: int, rng) -> str:
         pool.extend(enumerated[k] for k in picks)
     for config in pool:
         m = config.m
-        states = cycle_states(config)
-        for i in range(1, m + 1):
-            column = sorted(s[i - 1] for s in states)
-            _require(
-                column == list(range(1, 2 * m + 1)),
-                f"m={m}: sentence {i} entries {column}",
-            )
+        for i, column in enumerate(zip(*cycle_states(config)), start=1):
+            if sorted(column) != list(range(1, 2 * m + 1)):
+                raise CheckFailed(f"m={m}: sentence {i} entries {sorted(column)}")
     return f"{len(pool)} configs, all columns full"
 
 
@@ -201,21 +188,18 @@ def _kappa_roundtrip(m_max: int, rng) -> str:
         for _ in range(200):
             idx = tuple(rng.choices(range(1, n + 1), k=m))
             e = kappa(idx)
-            _require(
-                1 <= e <= n**m and kappa_inverse(e, m) == idx,
-                f"failed at m={m}, {idx}",
-            )
+            if not (1 <= e <= n**m and kappa_inverse(e, m) == idx):
+                raise CheckFailed(f"failed at m={m}, {idx}")
             trials += 1
     return f"{trials} random tuples, m 1..{m_max}"
 
 
 def _canonical_pairing(m_max: int, rng) -> str:
     states = cycle_states(eight_liar())
-    _require(states == CANONICAL_EIGHT_TUPLES, "state tuples differ from record")
-    embedded = tuple(kappa(idx) for idx in states)
-    _require(
-        embedded == CANONICAL_EIGHT_EMBEDDED, "embedded indices differ from record"
-    )
+    if states != CANONICAL_EIGHT_TUPLES:
+        raise CheckFailed("state tuples differ from record")
+    if tuple(map(kappa, states)) != CANONICAL_EIGHT_EMBEDDED:
+        raise CheckFailed("embedded indices differ from record")
     return "16 tuples and embeddings match record"
 
 
@@ -247,7 +231,6 @@ def _integer_steps(m_max: int, rng) -> str:
                             ("smooth", smooth_p, SPECTRAL_TOLERANCE),
                             ("traced", row.p_true if v else row.p_false, 0.0),  # exact
                         ):
-                            # the detail is formatted only on a failure
                             if not abs(p - want) <= tol:
                                 raise CheckFailed(
                                     f"m={m} t={t} ({j},{v}): {label} {p}, want {want}"
@@ -313,19 +296,12 @@ def _completeness(m_max: int, rng) -> str:
     residuals = []
     for config in _config_for(m_max):
         m = config.m
+        entries = range(1, 2 * m + 1)
+        singles = [{j} for j in entries]
         for i in range(1, m + 1):
-            entries = set()
-            for j in range(1, 2 * m + 1):
-                spec = single_entry_projector(i, j, m)
-                _require(
-                    not spec.entry_set & entries,
-                    f"m={m}: overlapping projectors at {i}",
-                )
-                entries |= spec.entry_set
-            _require(
-                entries == set(range(1, 2 * m + 1)),
-                f"m={m}: sentence {i} misses entries",
-            )
+            # each of a sentence's 2m projectors keeps its own entry: a partition
+            if [single_entry_projector(i, j, m).entry_set for j in entries] != singles:
+                raise CheckFailed(f"m={m}: sentence {i} projectors are not a partition")
         ev = build_evolution(config)
         psi0 = build_initial_state(config)
         state, _ = collapse(psi0, hypothesis_projector(1, True, m))
@@ -354,31 +330,23 @@ def _branch_independence(m_max: int, rng) -> str:
         power = np.eye(size)
         for t in range(0, size + 1):
             alt = frame_operator(size, np.exp(1j * flipped * t))
-            _require(
-                np.abs(alt - power).max() <= SPECTRAL_TOLERANCE,
-                f"m={m}: integer step t={t} differs",
-            )
+            if not np.abs(alt - power).max() <= SPECTRAL_TOLERANCE:
+                raise CheckFailed(f"m={m}: integer step t={t} differs")
             power = u_d @ power
         half = frame_operator(size, np.exp(1j * flipped * 0.5))
-        _require(
-            np.abs(half - propagator(ev, 0.5)).max() > SPECTRAL_TOLERANCE,
-            f"m={m}: branch flip had no effect",
-        )
+        if not np.abs(half - propagator(ev, 0.5)).max() > SPECTRAL_TOLERANCE:
+            raise CheckFailed(f"m={m}: branch flip had no effect")
     return "integer steps branch-free, half steps branch-bound"
 
 
 def _dimension_audit(m_max: int, rng) -> str:
     for m in range(2, min(m_max, 4) + 1):
         report = verify_minimality(m)
-        _require(report.passed, f"m={m} report failed")
-        witness = report.contradiction.witness
-        expected_product = (
-            f"tau[1,1]*alpha({','.join(['1'] * (m - 1))},2) = 0"
-        )
-        _require(
-            witness.violated_zero_product == expected_product,
-            f"m={m}: unexpected witness {witness.violated_zero_product}",
-        )
+        if not report.passed:
+            raise CheckFailed(f"m={m} report failed")
+        product = report.contradiction.witness.violated_zero_product
+        if product != f"tau[1,1]*alpha({','.join(['1'] * (m - 1))},2) = 0":
+            raise CheckFailed(f"m={m}: unexpected witness {product}")
     return "m=2..4 minimal dimension confirmed"
 
 

@@ -31,6 +31,7 @@ from liarsim.config import MAX_SENTENCES
 from liarsim.evolution import (
     MAX_TRACE_ROWS,
     SubspaceEvolution,
+    _cycle_kernel,
     _format_distinct,
     grid_size,
     principal_phases,
@@ -141,6 +142,21 @@ def test_propagate_matches_propagator():
                 dense = propagator(ev, tau) @ vec
                 got = np.array([moved.amplitude(idx) for idx in ev.basis])
                 assert np.abs(got - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("magnitude", [2**20 + 0.3, 2**30 + 0.3, 2**40 + 0.5, 1e15 + 0.5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_propagation_at_large_tau_matches_the_kernel(magnitude, sign):
+    # the eigenphases times the raw tau would lose the fraction's bits as
+    # |tau| grows, so both routes split tau exactly first, as the kernel does
+    tau = sign * magnitude
+    ev = build_evolution(eight_liar())
+    start = SparseState(8, {ev.basis[0]: 1.0})
+    want = _cycle_kernel(np.array([tau]), np.arange(ev.size), ev.size)[0]
+    moved = propagate(ev, start, tau)
+    got = np.abs([moved.amplitude(idx) for idx in ev.basis]) ** 2
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(np.abs(propagator(ev, tau)[:, 0]) ** 2 - want).max() <= 1e-12
 
 
 def test_propagate_rejects_foreign_support():

@@ -1,11 +1,15 @@
+import re
+
 import pytest
 
+import liarsim.inference as inference
 from liarsim import (
     Configuration,
     NotParadoxical,
     OutOfRange,
     eight_liar,
     one_liar,
+    probability_trace,
     reasoning_cycle,
     simple_liar,
 )
@@ -78,6 +82,17 @@ def test_non_paradoxical_walk_is_rejected():
         reasoning_cycle(config)
 
 
+def test_non_paradoxical_config_is_rejected_before_walking(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked a configuration with an even negation count")
+
+    monkeypatch.setattr(inference, "infer_next", no_walk)
+    message = "^walk closed after m steps without flipping the start value$"
+    for config in (Configuration(1, (1,), (False,)), Configuration(2, (2, 1), (True, True))):
+        with pytest.raises(NotParadoxical, match=message):
+            reasoning_cycle(config)
+
+
 def test_lookup_helpers():
     cycle = reasoning_cycle(eight_liar())
     assert cycle.step_of(1, True) == 1
@@ -92,3 +107,14 @@ def test_lookup_helpers():
 def test_step_of_rejects_a_sentence_outside_the_cycle():
     with pytest.raises(OutOfRange, match=r"^sentence 9 outside 1\.\.8$"):
         reasoning_cycle(eight_liar()).step_of(9, True)
+
+
+@pytest.mark.parametrize("value", ["x", "yes", 1, 0, None])
+def test_a_truth_value_that_is_not_a_bool_is_rejected(value):
+    message = rf"^truth value must be True or False, got {re.escape(repr(value))}$"
+    with pytest.raises(OutOfRange, match=message):
+        reasoning_cycle(eight_liar()).step_of(1, value)
+    with pytest.raises(OutOfRange, match=message):
+        reasoning_cycle(eight_liar(), 1, value)
+    with pytest.raises(OutOfRange, match=message):
+        probability_trace(eight_liar(), (1, value), [0.5])

@@ -9,6 +9,8 @@ import liarsim.evolution as evolution
 import liarsim.verify as verify_mod
 from liarsim import OutOfRange, SparseState
 from liarsim.audit import MinimalityReport, solve_constraints
+from liarsim.inference import HypothesisStep, ReasoningCycle
+from liarsim.measurement import ProjectorSpec
 from liarsim.verify import all_passed, run_verification
 
 
@@ -175,3 +177,68 @@ def test_conjugated_propagate_is_caught(monkeypatch):
     passed = _results_with(monkeypatch, verify_mod, "propagate", conjugated)
     assert not passed["spectral"]
     assert sum(not ok for ok in passed.values()) == 1
+
+
+def _raises_check_failed(check, m_max=8):
+    with pytest.raises(verify_mod.CheckFailed) as failure:
+        check(m_max, random.Random(verify_mod.VERIFY_SEED))
+    return str(failure.value)
+
+
+def test_repeated_hypothesis_fails_cycle_closure(monkeypatch):
+    # the last step repeats the first hypothesis; called directly, because
+    # the walk's missing hypothesis would crash the checks that look it up
+    real = verify_mod.reasoning_cycle
+
+    def repeating(config, start_sentence=1, start_value=True):
+        walk = real(config, start_sentence, start_value)
+        first, last = walk.steps[0], walk.steps[-1]
+        repeat = HypothesisStep(last.step, first.sentence, first.value)
+        return ReasoningCycle(walk.m, walk.steps[:-1] + (repeat,))
+
+    monkeypatch.setattr(verify_mod, "reasoning_cycle", repeating)
+    _raises_check_failed(verify_mod._cycle_closure)
+
+
+def test_duplicated_cycle_state_fails_no_degenerescence(monkeypatch):
+    real = verify_mod.cycle_states
+    monkeypatch.setattr(
+        verify_mod, "cycle_states", lambda config: (real(config)[0],) + real(config)[:-1]
+    )
+    _failed("no-degenerescence")
+
+
+def test_wrong_kappa_inverse_fails_kappa_roundtrip(monkeypatch):
+    # wrong at m = 5 only: the first entry moves on by one
+    real = verify_mod.kappa_inverse
+
+    def wrong_at_five(e, m):
+        idx = real(e, m)
+        return idx if m != 5 else (idx[0] % (2 * m) + 1,) + idx[1:]
+
+    monkeypatch.setattr(verify_mod, "kappa_inverse", wrong_at_five)
+    assert _failed("kappa-roundtrip").startswith("failed at m=5, ")
+    assert all_passed(run_verification(4))
+
+
+def test_overlapping_projectors_fail_completeness(monkeypatch):
+    # each projector keeps {j, j+1}: the partition half fails before the
+    # sampled sums, which this fault also breaks, are reached
+    monkeypatch.setattr(
+        verify_mod,
+        "single_entry_projector",
+        lambda i, j, m: ProjectorSpec(i, frozenset((j, j + 1)), m),
+    )
+    detail = _raises_check_failed(verify_mod._completeness)
+    assert detail.startswith("m=1: ") and "additivity" not in detail
+
+
+def test_minus_pi_branch_fails_branch_independence(monkeypatch):
+    # the -1 eigenvalue given phase -pi instead of +pi
+    real = verify_mod.principal_phases
+    monkeypatch.setattr(
+        verify_mod,
+        "principal_phases",
+        lambda size: np.where(real(size) == np.pi, -np.pi, real(size)),
+    )
+    assert _failed("branch-independence") == "m=1: branch flip had no effect"
