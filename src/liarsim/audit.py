@@ -24,6 +24,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
+from .config import is_json_int
 from .errors import OutOfRange, UnsupportedDimension
 from .statespace import TensorIndex
 
@@ -34,8 +35,8 @@ def _operator_targets(m: int, n: int) -> tuple[tuple[str, int, TensorIndex, str]
     """The 2m operators as (family, sentence, target, outcome): "tau" truth
     operators by sentence, then "phi" falsehood operators by sentence, for
     sentence dimension n, which must be 2m or 2m - 1."""
-    if m < 1:
-        raise OutOfRange(f"need m >= 1, got {m}")
+    if not (is_json_int(m) and is_json_int(n) and m >= 1):
+        raise OutOfRange(f"need integers m >= 1 and n, got m = {m!r}, n = {n!r}")
     if n not in (2 * m, 2 * m - 1):
         raise UnsupportedDimension(
             f"audit covers n = 2m and n = 2m-1 only, got n={n} for m={m}"
@@ -153,8 +154,8 @@ class MinimalityReport:
 
 def verify_minimality(m: int) -> MinimalityReport:
     """Run both branches of the audit for one m and report the verdicts."""
-    if not 2 <= m <= AUDIT_BOUND:
-        raise OutOfRange(f"audit covers 2 <= m <= {AUDIT_BOUND}, got {m}")
+    if not (is_json_int(m) and 2 <= m <= AUDIT_BOUND):
+        raise OutOfRange(f"audit covers 2 <= m <= {AUDIT_BOUND}, got {m!r}")
     return MinimalityReport(
         m=m,
         satisfiable=solve_constraints(m, 2 * m),

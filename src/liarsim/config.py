@@ -41,18 +41,29 @@ class Configuration:
 
 
 def check_sentence_count(m: int) -> int:
-    """Return ``m`` if it is a sentence count in 1..MAX_SENTENCES."""
-    if m < 1:
-        raise OutOfRange(f"sentence count must be positive, got {m}")
+    """Return ``m`` if it is a sentence count: an integer (``is_json_int``)
+    in 1..MAX_SENTENCES."""
+    if not is_json_int(m) or m < 1:
+        raise OutOfRange(f"sentence count must be a positive integer, got {m!r}")
     if m > MAX_SENTENCES:
         raise OutOfRange(f"sentence count {m} exceeds MAX_SENTENCES = {MAX_SENTENCES}")
     return m
 
 
 def check_sentence(sentence: int, m: int) -> None:
-    """Reject ``sentence`` unless it is one of the sentences 1..m."""
-    if not 1 <= sentence <= m:
-        raise OutOfRange(f"sentence {sentence} outside 1..{m}")
+    """Reject ``sentence`` unless it is one of the sentences 1..m, both
+    integers by ``is_json_int``; nothing is coerced."""
+    # plain ints skip the calls: every projection checks its sentence
+    ints = type(sentence) is type(m) is int or is_json_int(sentence) and is_json_int(m)
+    if not (ints and 1 <= sentence <= m):
+        raise OutOfRange(f"sentence {sentence!r} outside 1..{m!r}")
+
+
+def check_truth_value(value: bool) -> None:
+    """Reject ``value`` unless it is True or False: a ``bool``, so neither
+    1 nor a numpy bool is taken for one."""
+    if not isinstance(value, bool):
+        raise OutOfRange(f"truth value must be True or False, got {value!r}")
 
 
 def validate(config: Configuration) -> Configuration:

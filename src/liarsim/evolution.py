@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .config import Configuration, check_sentence
+from .config import Configuration, check_sentence, is_json_int
 from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
 from .statespace import SparseState, TensorIndex, _uniform_amplitude, cycle_states
@@ -177,7 +177,10 @@ def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseSt
 
 
 def apply_steps(ev: SubspaceEvolution, state: SparseState, count: int = 1) -> SparseState:
-    """Apply the step permutation ``count`` times, exactly (no floats)."""
+    """Apply the step permutation ``count`` times, exactly (no floats);
+    ``count`` must be an ``int``, not a bool."""
+    if not is_json_int(count):
+        raise OutOfRange(f"step count must be an integer, got {count!r}")
     shift = count % ev.size
     moved: dict[TensorIndex, complex] = {}
     for idx, a in state.amplitudes.items():
@@ -238,12 +241,14 @@ def trace_sentences(sentences: Iterable[int] | None, m: int) -> tuple[int, ...]:
     the given ones sorted, deduplicated, non-empty and checked against m."""
     if sentences is None:
         return tuple(range(1, m + 1))
-    sentences = tuple(sorted(set(sentences)))
-    if not sentences:
-        raise OutOfRange("no sentences to trace")
+    sentences = tuple(sentences)
+    # checked before sorting: a str does not sort with an int, and 1.0 or
+    # True would merge with 1
     for i in sentences:
         check_sentence(i, m)
-    return sentences
+    if not sentences:
+        raise OutOfRange("no sentences to trace")
+    return tuple(sorted(set(sentences)))
 
 
 def _trace_kernel(

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import Configuration, check_sentence, is_paradoxical
-from .errors import NotParadoxical, OutOfRange
+from .config import Configuration, check_sentence, check_truth_value, is_paradoxical
+from .errors import NotParadoxical
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,11 @@ class ReasoningCycle:
         object.__setattr__(self, "positions", positions)
 
     def step_of(self, sentence: int, value: bool) -> int:
-        """Position at which ``sentence`` is hypothesized to have ``value``."""
-        if not isinstance(value, bool):
-            raise OutOfRange(f"truth value must be True or False, got {value!r}")
-        try:
-            return self.positions[sentence, value]
-        except KeyError:
-            raise OutOfRange(f"sentence {sentence} outside 1..{self.m}") from None
+        """Position at which ``sentence`` is hypothesized to have ``value``;
+        OutOfRange unless ``check_truth_value`` and ``check_sentence`` pass."""
+        check_truth_value(value)
+        check_sentence(sentence, self.m)
+        return self.positions[sentence, value]
 
     def hypothesis_at(self, step: int) -> tuple[int, bool]:
         """(sentence, value) hypothesized at 1-based position ``step``,
@@ -61,6 +59,7 @@ def infer_next(config: Configuration, sentence: int, value: bool) -> tuple[int, 
     An affirming claim propagates the value; a negating claim flips it
     (a false sentence makes the negation of its claim hold).
     """
+    check_truth_value(value)
     check_sentence(sentence, config.m)
     return config.referent[sentence - 1], value != config.negating[sentence - 1]
 
@@ -71,12 +70,13 @@ def reasoning_cycle(
     """Closed 2m-step hypothesis walk from the given start hypothesis.
 
     Raises NotParadoxical for an even negation count, where the walk would
-    close after m steps with the start value unflipped.
+    close after m steps with the start value unflipped, and OutOfRange
+    unless the start is a sentence of ``config`` with a bool value.
     """
     if not is_paradoxical(config):
         raise NotParadoxical("walk closed after m steps without flipping the start value")
-    if not isinstance(start_value, bool):
-        raise OutOfRange(f"truth value must be True or False, got {start_value!r}")
+    check_truth_value(start_value)
+    check_sentence(start_sentence, config.m)
     m = config.m
     steps = [HypothesisStep(1, start_sentence, start_value)]
     sentence, value = start_sentence, start_value

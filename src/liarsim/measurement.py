@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import check_sentence
+from .config import check_sentence, check_truth_value, is_json_int
 from .errors import OutOfRange
 from .statespace import SparseState, TensorIndex
 
@@ -31,14 +31,16 @@ class ProjectorSpec:
 def single_entry_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
     """Rank-one-per-factor projector onto a single entry value."""
     check_sentence(sentence, m)
-    if not 1 <= entry <= 2 * m:
-        raise OutOfRange(f"entry {entry} outside 1..{2 * m}")
+    if not (is_json_int(entry) and 1 <= entry <= 2 * m):
+        raise OutOfRange(f"entry {entry!r} outside 1..{2 * m}")
     return ProjectorSpec(sentence, frozenset((entry,)), m)
 
 
 def hypothesis_projector(sentence: int, value: bool, m: int) -> ProjectorSpec:
     """Projector onto "sentence is true by hypothesis" (entry 2m-1) when
     ``value`` is True, "false by hypothesis" (entry 2m) when it is False."""
+    check_truth_value(value)
+    check_sentence(sentence, m)  # m is an integer before 2m is formed
     return single_entry_projector(sentence, 2 * m - 1 if value else 2 * m, m)
 
 
@@ -47,9 +49,10 @@ def inference_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
 
     Inference entries are 1..2m-2; the two hypothesis entries are excluded.
     """
-    if not 1 <= entry <= 2 * m - 2:
+    check_sentence(sentence, m)  # m is an integer before 2m - 2 is formed
+    if not (is_json_int(entry) and 1 <= entry <= 2 * m - 2):
         raise OutOfRange(
-            f"entry {entry} is not an inference entry (1..{2 * m - 2}); "
+            f"entry {entry!r} is not an inference entry (1..{2 * m - 2}); "
             "use the hypothesis projectors for entries "
             f"{2 * m - 1} and {2 * m}"
         )

@@ -27,23 +27,23 @@ continues down to 1.  Every sentence therefore traverses all 2m entries
 exactly once per cycle, so the 2m basis states produced by one reasoning
 cycle are pairwise distinct in every coordinate (no degeneracy).
 
-The same fact gives the ranks of the whole cycle from one of them.  Write
-w_i = n^(m-i) for the weight of sentence i and next(v) for the entry after v
-on C.  One step adds next(e_i) - e_i to every digit, and that difference is
--1 except at the three values m, 2m and 1 (just one value, 1, when m = 1).
-Hence
+The same fact gives every row and rank of the cycle from the first.  Write
+succ(v) for the entry after v on C and w_i = n^(m-i) for the weight of
+sentence i.  One step replaces every entry e_i by succ(e_i), which adds
+succ(e_i) - e_i to digit i; that difference is -1 except at the three
+entries m, 2m and 1 (just one entry, 1, when m = 1).  With
+jump(v) = succ(v) - v + 1, which is nonzero only there,
 
+    row(t+1)   = succ(row(t))                    (entry by entry),
     kappa(t+1) = kappa(t) - (n^m - 1)/(n - 1)
-                 + sum over the exceptional entries e_i = v of
-                   (next(v) - v + 1) * w_i,
+                 + sum over sentences i with jump(e_i) != 0 of jump(e_i) * w_i,
 
-where (n^m - 1)/(n - 1) is the sum of all weights.  A row holds each value
-at most once, and sentence i holds v at step t exactly when
-t - t_i = offset of v on C (mod 2m), with t_i its true step, so a step costs
-at most three lookups and multiply-adds.  ``initial_state_terms`` evaluates
-it as it writes each term, in ``decimal``, whose integers print in linear
-time with no limit on their length.  Only the weights and one rank are held,
-never the 2m rows that ``cycle_states`` builds for the dense oracle.
+where (n^m - 1)/(n - 1) is the sum of all weights.  A row holds each entry
+at most once, so the sum has at most three terms.  ``initial_state_terms``
+evaluates this as it writes each term: one successor table steps the row,
+and the rank is updated in ``decimal``, whose integers print in linear time
+with no limit on their length.  Only the weights, one row and one rank are
+held, never the 2m rows that ``cycle_states`` builds for the dense oracle.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ Term = tuple[Sequence[int], str, float, float]
 def check_tensor_index(idx: TensorIndex) -> None:
     n = 2 * len(idx)
     for j, e in enumerate(idx, start=1):
-        if not 1 <= e <= n:
-            raise OutOfRange(f"entry {e} at position {j} outside 1..{n}")
+        # a plain int skips the call: every state construction checks each entry
+        if not ((type(e) is int or is_json_int(e)) and 1 <= e <= n):
+            raise OutOfRange(f"entry {e!r} at position {j} outside 1..{n}")
 
 
 def kappa(idx: TensorIndex) -> EmbeddedIndex:
@@ -104,9 +105,9 @@ def decimal_string(value: int) -> str:
 def kappa_inverse(e: EmbeddedIndex, m: int) -> TensorIndex:
     """Invert ``kappa``: mixed-radix digit extraction, most significant
     digit first."""
+    if not (is_json_int(e) and is_json_int(m) and 1 <= e <= (2 * m) ** m):
+        raise OutOfRange(f"embedded index {e!r} outside 1..(2m)^m for m = {m!r}")
     n = 2 * m
-    if not 1 <= e <= n**m:
-        raise OutOfRange(f"embedded index {e} outside 1..{n}^{m}")
     rem = e - 1
     digits = []
     for _ in range(m):
@@ -170,8 +171,8 @@ class SparseState:
     amplitudes: Mapping[TensorIndex, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m < 0:
-            raise OutOfRange(f"state has m = {self.m} sentences, need m >= 0")
+        if not is_json_int(self.m) or self.m < 0:
+            raise OutOfRange(f"state has m = {self.m!r} sentences, need an integer m >= 0")
         amps = {}
         for idx, a in self.amplitudes.items():
             idx = tuple(idx)
@@ -220,30 +221,27 @@ def initial_state_terms(config: Configuration) -> Iterator[Term]:
     in cycle order, without building the state or its 2m rows at once.
 
     Eager, on the call: the reasoning walk (which rejects a configuration
-    that is not paradoxical), C and its exceptional values, the map from
-    true step to sentence, the weights n^(m-i), and the first row with its
-    rank through ``kappa``.  So every check runs before anything is written.
-    Lazy, per term: the row is one gather from C, and the rank comes from
-    the one before by the step recurrence in the module docstring, in a
-    private exact ``decimal`` context (the caller's context is untouched).
-    Working memory is O(m) besides the weights, about m^2 log10(2m) / 2
-    digits in all.  Each term's entries are its own int32 array, and every
-    term shares the same ``re`` and ``im`` objects.
+    that is not paradoxical), the successor table ``succ`` over the entries
+    0..2m with its ``jump = succ - v + 1``, the weights n^(m-i), and the
+    first row with its rank through ``kappa``.  So every check runs before
+    anything is written.  Lazy, per term: the step recurrence in the module
+    docstring, ``row = succ[row]``, with the rank moved by the sum of all
+    weights and by ``jump[row[i]] * w_i`` at the (at most three) sentences
+    where ``jump[row]`` is nonzero, in a private exact ``decimal`` context
+    (the caller's context is untouched).  Working memory is O(m) besides the
+    weights, about m^2 log10(2m) / 2 digits in all.  Each term's entries are
+    its own int32 array, and every term shares the same ``re`` and ``im``
+    objects.
     """
     m = config.m
     n = 2 * m
     cycle, t_true = _cycle_frame(config)
-    # (offset on C, next(v) - v + 1) of each exceptional value v
-    entries = cycle.tolist()
-    exceptional = []
-    for k, v in enumerate(entries):
-        c = entries[(k + 1) % n] - v + 1
-        if c:
-            exceptional.append((k, c))
-    # the sentence (0-based) whose true step is s mod 2m, or -1
-    sentence_at = [-1] * n
-    for i, t in enumerate(t_true.tolist()):
-        sentence_at[t % n] = i
+    import numpy as np
+
+    # entry 0 is never in a row: its successor and jump are unused
+    succ = np.zeros(n + 1, dtype=cycle.dtype)
+    succ[cycle] = np.roll(cycle, -1)
+    jump = succ - np.arange(n + 1, dtype=cycle.dtype) + 1
     # n^m has at most m * digits(n) digits: exact, or an exception
     ctx = decimal.Context(
         prec=m * len(str(n)) + 2, traps=[decimal.Inexact, decimal.Rounded]
@@ -260,15 +258,14 @@ def initial_state_terms(config: Configuration) -> Iterator[Term]:
     amp = _uniform_amplitude(n)
 
     def terms() -> Iterator[Term]:
-        r = rank
-        yield first, str(r), amp, 0.0
-        for t in range(1, n):  # from row t to row t + 1
+        row, r = first, rank
+        yield row, str(r), amp, 0.0
+        for _ in range(1, n):
             r = ctx.add(r, step)
-            for k, c in exceptional:
-                i = sentence_at[(t - k) % n]
-                if i >= 0:
-                    r = ctx.add(r, ctx.multiply(c, weights[i]))
-            yield _rows(cycle, t_true, t + 1), str(r), amp, 0.0
+            for i in np.flatnonzero(jump[row]).tolist():
+                r = ctx.add(r, ctx.multiply(int(jump[row[i]]), weights[i]))
+            row = succ[row]
+            yield row, str(r), amp, 0.0
 
     return terms()
 

@@ -2,10 +2,11 @@
 
 Each check exercises one structural promise of the model: closure of the
 reasoning cycle, non-degenerate entry occupation, index linearization
-round-trips, the canonical eight-sentence reference data, agreement between
-discrete stepping and the continuous propagator at integer times, the
-unitary group laws, time invariance of the unreasoned state, projector
-completeness, and the minimal-dimension audit.
+round-trips, the canonical eight-sentence reference data and the rows and
+ranks that ``state`` streams, agreement between discrete stepping and the
+continuous propagator at integer times, the unitary group laws, time
+invariance of the unreasoned state, projector completeness, and the
+minimal-dimension audit.
 
 The eight-sentence ground truth lives in module constants so a corrupted
 copy is observable: the pairing check reads the constants at call time and
@@ -25,6 +26,7 @@ from .config import (
     count_paradoxical,
     enumerate_paradoxical,
     eight_liar,
+    is_json_int,
     simple_liar,
 )
 from .errors import OutOfRange
@@ -51,6 +53,8 @@ from .statespace import (
     TensorIndex,
     build_initial_state,
     cycle_states,
+    decimal_string,
+    initial_state_terms,
     kappa,
     kappa_inverse,
 )
@@ -195,11 +199,20 @@ def _kappa_roundtrip(m_max: int, rng) -> str:
 
 
 def _canonical_pairing(m_max: int, rng) -> str:
+    """The eight-liar's cycle states and ranks against the record, and the
+    stream that ``state`` writes against ``cycle_states`` and ``kappa``."""
     states = cycle_states(eight_liar())
     if states != CANONICAL_EIGHT_TUPLES:
         raise CheckFailed("state tuples differ from record")
     if tuple(map(kappa, states)) != CANONICAL_EIGHT_EMBEDDED:
         raise CheckFailed("embedded indices differ from record")
+    for config in _config_for(m_max):
+        terms = [(tuple(row.tolist()), rank) for row, rank, _, _ in initial_state_terms(config)]
+        if [row for row, _ in terms] != list(cycle_states(config)):
+            raise CheckFailed(f"m={config.m}: streamed rows differ from the cycle states")
+        for t, (row, rank) in enumerate(terms, start=1):
+            if rank != decimal_string(kappa(row)):
+                raise CheckFailed(f"m={config.m}: streamed rank {t} is not kappa of its row")
     return "16 tuples and embeddings match record"
 
 
@@ -375,8 +388,8 @@ def run_verification(m_max: int = 8) -> tuple[CheckResult, ...]:
     so the results are reproducible, the global ``random`` state is left
     alone and ``numpy.random`` is never loaded.
     """
-    if not 1 <= m_max <= 8:
-        raise OutOfRange(f"verification covers 1 <= m_max <= 8, got {m_max}")
+    if not (is_json_int(m_max) and 1 <= m_max <= 8):
+        raise OutOfRange(f"verification covers 1 <= m_max <= 8, got {m_max!r}")
     rng = random.Random(VERIFY_SEED)
     results = []
     for name, check in CHECKS:

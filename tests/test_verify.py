@@ -242,3 +242,28 @@ def test_minus_pi_branch_fails_branch_independence(monkeypatch):
         lambda size: np.where(real(size) == np.pi, -np.pi, real(size)),
     )
     assert _failed("branch-independence") == "m=1: branch flip had no effect"
+
+
+def _third_rank_one_too_high(terms):
+    if len(terms) > 2:  # m = 1 has two terms
+        row, rank, re_, im = terms[2]
+        terms[2] = (row, str(int(rank) + 1), re_, im)
+
+
+def _two_rows_swapped(terms):
+    (a, *rest_a), (b, *rest_b) = terms[0], terms[1]
+    terms[0], terms[1] = (b, *rest_a), (a, *rest_b)
+
+
+@pytest.mark.parametrize("edit", [_third_rank_one_too_high, _two_rows_swapped])
+def test_a_wrong_state_stream_fails_canonical_pairing_only(monkeypatch, edit):
+    real = verify_mod.initial_state_terms
+
+    def edited(config):
+        terms = list(real(config))
+        edit(terms)
+        return iter(terms)
+
+    passed = _results_with(monkeypatch, verify_mod, "initial_state_terms", edited)
+    assert not passed["canonical-pairing"]
+    assert sum(not ok for ok in passed.values()) == 1
