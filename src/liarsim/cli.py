@@ -30,8 +30,8 @@ from .config import (
     simple_liar,
 )
 from .errors import LiarSimError, OutOfRange
-from .evolution import trace_csv_chunks, trace_sentences
-from .statespace import decimal_string, initial_state_terms, write_state_json
+from .evolution import check_precision, trace_csv_chunks, trace_sentences
+from .statespace import decimal_string, state_json_chunks
 from .verify import all_passed, run_verification
 
 DEFAULT_PRECISION = 12
@@ -126,9 +126,7 @@ def output_precision() -> int:
         p = int(raw)
     except ValueError:
         raise OutOfRange(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
-    if not 1 <= p <= 17:
-        raise OutOfRange(f"{PRECISION_ENV} must be in 1..17, got {p}")
-    return p
+    return check_precision(p, PRECISION_ENV)
 
 
 @contextlib.contextmanager
@@ -148,13 +146,13 @@ def cmd_count(args) -> int:
 
 def cmd_state(args) -> int:
     config = resolve_config(args.config)
+    manifest = {"command": "state", "config": args.config}
     # Every check, down to the first row and its rank, runs on this call,
     # before the output is opened, so a failure leaves no partial file.  The
     # later rows and ranks are made one at a time as they are written.
-    terms = initial_state_terms(config)
-    manifest = {"command": "state", "config": args.config}
+    chunks = state_json_chunks(config, {"manifest": manifest})
     with _output(args.out) as out:
-        write_state_json(out, config.m, terms, {"manifest": manifest})
+        out.writelines(chunks)
         out.write("\n")
     return 0
 

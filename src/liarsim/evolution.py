@@ -355,8 +355,24 @@ def time_grid(t_max: float, dt: float) -> tuple[float, ...]:
     return tuple(j * dt for j in range(grid_size(t_max, dt)))
 
 
+def check_precision(precision: int, what: str = "precision") -> int:
+    """Return ``precision`` if it is a count of significant digits: an
+    integer (``is_json_int``) in 1..17; ``what`` names it in the error."""
+    if not is_json_int(precision):
+        raise OutOfRange(f"{what} must be an integer, got {precision!r}")
+    if not 1 <= precision <= 17:
+        raise OutOfRange(f"{what} must be in 1..17, got {precision}")
+    return precision
+
+
 def _csv_header(header_lines: Iterable[str]) -> str:
-    return "".join(f"# {line}\n" for line in header_lines) + "t,sentence,p_true,p_false\n"
+    """The comment lines and the column line of a trace CSV.  A line break
+    inside a header line would start a line that is not a comment."""
+    lines = list(header_lines)
+    for line in lines:
+        if "\n" in line or "\r" in line:
+            raise OutOfRange(f"trace header line {line!r} holds a line break")
+    return "".join(f"# {line}\n" for line in lines) + "t,sentence,p_true,p_false\n"
 
 
 def _format_distinct(values: np.ndarray, precision: int) -> np.ndarray:
@@ -382,12 +398,15 @@ def trace_to_csv(
     precision: int = 12,
 ) -> str:
     """Render rows as CSV: ``t,sentence,p_true,p_false`` with the given
-    number of significant digits; optional comment lines precede the header."""
-    g = f"%.{precision}g"
+    number of significant digits (``check_precision``); optional comment
+    lines precede the header."""
+    g = f"%.{check_precision(precision)}g"
     row = f"{g},%d,{g},{g}\n"
-    return _csv_header(header_lines) + "".join(
-        row % (r.t, r.sentence, r.p_true, r.p_false) for r in rows
-    )
+    header = _csv_header(header_lines)
+    for r in rows:
+        if not is_json_int(r.sentence):
+            raise OutOfRange(f"trace row sentence must be an integer, got {r.sentence!r}")
+    return header + "".join(row % (r.t, r.sentence, r.p_true, r.p_false) for r in rows)
 
 
 def trace_csv_chunks(
@@ -415,6 +434,7 @@ def trace_csv_chunks(
     ``time_grid``'s ``j * dt``.
     """
     count = grid_size(t_max, dt)
+    check_precision(precision)
     sentences, kernel = _trace_kernel(
         config,
         initial_measurement,

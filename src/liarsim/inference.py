@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import Configuration, check_sentence, check_truth_value, is_paradoxical
-from .errors import NotParadoxical
+from .config import Configuration, check_sentence, check_truth_value, is_json_int, is_paradoxical
+from .errors import NotParadoxical, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class ReasoningCycle:
     def hypothesis_at(self, step: int) -> tuple[int, bool]:
         """(sentence, value) hypothesized at 1-based position ``step``,
         taken cyclically."""
+        if not is_json_int(step):
+            raise OutOfRange(f"step must be an integer, got {step!r}")
         s = self.steps[(step - 1) % len(self.steps)]
         return s.sentence, s.value
 

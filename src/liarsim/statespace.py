@@ -40,20 +40,22 @@ jump(v) = succ(v) - v + 1, which is nonzero only there,
 
 where (n^m - 1)/(n - 1) is the sum of all weights.  A row holds each entry
 at most once, so the sum has at most three terms.  ``initial_state_terms``
-evaluates this as it writes each term: one successor table steps the row,
-and the rank is updated in ``decimal``, whose integers print in linear time
-with no limit on their length.  Only the weights, one row and one rank are
-held, never the 2m rows that ``cycle_states`` builds for the dense oracle.
+evaluates this one term at a time: one successor table steps the row, and
+the rank is updated in ``decimal``, whose integers print in linear time with
+no limit on their length.  Only the weights, one row and one rank are held,
+never the 2m rows that ``cycle_states`` builds for the dense oracle.
+``state_json_chunks``, the writer behind ``liarsim state``, formats each
+term as it comes.  ``state_to_json`` is its reference: ``json.dumps`` of a
+``SparseState``'s document, sharing no code with the chunked writer.
 """
 
 from __future__ import annotations
 
 import decimal
-import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping
 
 from .config import (
     Configuration,
@@ -67,10 +69,6 @@ from .inference import reasoning_cycle
 
 TensorIndex = tuple[int, ...]
 EmbeddedIndex = int
-# (entries, embedded index as decimal digits, re, im): one term of a state
-# document, as ``write_state_json`` takes it.  The entries may be a tuple or
-# an integer array.
-Term = tuple[Sequence[int], str, float, float]
 
 
 def check_tensor_index(idx: TensorIndex) -> None:
@@ -216,9 +214,11 @@ def build_initial_state(config: Configuration) -> SparseState:
     return SparseState(config.m, {idx: complex(amp) for idx in states})
 
 
-def initial_state_terms(config: Configuration) -> Iterator[Term]:
-    """The terms of ``build_initial_state(config)`` for ``write_state_json``,
-    in cycle order, without building the state or its 2m rows at once.
+def initial_state_terms(config: Configuration) -> Iterator[tuple[np.ndarray, str]]:
+    """The tuples of ``build_initial_state(config)`` with their ranks, as
+    (row, rank) pairs in cycle order, without building the state or its 2m
+    rows at once.  Each row is its own int32 array of entries, each rank the
+    decimal digits of its ``kappa``.
 
     Eager, on the call: the reasoning walk (which rejects a configuration
     that is not paradoxical), the successor table ``succ`` over the entries
@@ -229,9 +229,7 @@ def initial_state_terms(config: Configuration) -> Iterator[Term]:
     weights and by ``jump[row[i]] * w_i`` at the (at most three) sentences
     where ``jump[row]`` is nonzero, in a private exact ``decimal`` context
     (the caller's context is untouched).  Working memory is O(m) besides the
-    weights, about m^2 log10(2m) / 2 digits in all.  Each term's entries are
-    its own int32 array, and every term shares the same ``re`` and ``im``
-    objects.
+    weights, about m^2 log10(2m) / 2 digits in all.
     """
     m = config.m
     n = 2 * m
@@ -255,97 +253,83 @@ def initial_state_terms(config: Configuration) -> Iterator[Term]:
     step = ctx.minus(total)
     first = _rows(cycle, t_true, 1)
     rank = decimal.Decimal(kappa(tuple(first.tolist())))
-    amp = _uniform_amplitude(n)
 
-    def terms() -> Iterator[Term]:
+    def terms() -> Iterator[tuple[np.ndarray, str]]:
         row, r = first, rank
-        yield row, str(r), amp, 0.0
+        yield row, str(r)
         for _ in range(1, n):
             r = ctx.add(r, step)
             for i in np.flatnonzero(jump[row]).tolist():
                 r = ctx.add(r, ctx.multiply(int(jump[row[i]]), weights[i]))
             row = succ[row]
-            yield row, str(r), amp, 0.0
+            yield row, str(r)
 
     return terms()
 
 
-def write_state_json(
-    out: TextIO,
-    m: int,
-    terms: Iterable[Term],
-    extra: Mapping[str, object] | None = None,
-) -> None:
-    """Write {**extra, "m", "n", "terms": [{"tuple", "embedded", "re", "im"}]}
-    to ``out`` one term at a time, with n = 2m.
+def state_json_chunks(
+    config: Configuration, extra: Mapping[str, object] | None = None
+) -> Iterator[str]:
+    """The text of ``state_to_json(build_initial_state(config), extra=extra)``
+    as chunks: the head up to ``"terms": [``, one chunk per term in cycle
+    order, then the close.  No trailing newline.
 
-    The bytes are exactly those of ``json.dumps(document, indent=2)``, with
-    no trailing newline.  The embedded index is a decimal string so consumers
-    limited to 64-bit integers survive large m.  A term without m entries in
-    1..2m and an index of ASCII digits (quoted unescaped) raises OutOfRange;
-    whether that index is the tuple's rank is ``state_from_json``'s check.
-
-    Each value is formatted once.  The 2m + 1 entry lines
-    ``",\n        <v>"`` sit in a fixed-width bytes table, and a tuple
+    Every check runs on the call, through ``initial_state_terms``; the terms
+    are made as the chunks are consumed.  The head, the shared amplitude
+    1/sqrt(2m) and the 2m + 1 entry lines ``",\n        <v>"`` are formatted
+    once.  The entry lines sit in a fixed-width bytes table, so a tuple
     listing is one gather from it (``tobytes``, NUL padding removed, leading
-    comma dropped).  ``re`` and ``im`` are formatted again only when a term
-    brings a new object, so terms that share their amplitude objects, as
-    ``initial_state_terms``'s do, format them once.
+    comma dropped), and each term fills one ``%`` template.
     """
+    terms = initial_state_terms(config)
     import numpy as np
 
+    n = 2 * config.m
     head, tail = json.dumps(
-        {**(extra or {}), "m": m, "n": 2 * m, "terms": []}, indent=2
+        {**(extra or {}), "m": config.m, "n": n, "terms": []}, indent=2
     ).split('\n  "terms": []')
-    entry = np.array([f",\n        {v}".encode() for v in range(2 * m + 1)])
-    out.write(head + '\n  "terms": [')
-    sep = "\n"
-    re_seen = im_seen = object()  # no term brings this object
-    re_text = im_text = ""
-    for entries, embedded, re, im in terms:
-        if re is not re_seen:
-            re_seen, re_text = re, json.dumps(re)
-        if im is not im_seen:
-            im_seen, im_text = im, json.dumps(im)
-        row = np.asarray(entries)
-        try:  # np.take raises on an entry above 2m or one that is not an integer
-            items = np.take(entry, entries).tobytes().replace(b"\0", b"")[1:].decode()
-            ok = row.shape == (m,) and (m == 0 or row.min() >= 1)
-        except (IndexError, TypeError):
-            ok = False
-        if not (ok and isinstance(embedded, str) and embedded.encode("ascii", "replace").isdigit()):
-            raise OutOfRange(f"malformed term for m = {m}: {row.tolist()}, {embedded!r}")
-        listing = "[" + items + "\n      ]" if items else "[]"
-        out.write(
-            f'{sep}    {{\n      "tuple": {listing},\n      "embedded": "{embedded}",'
-            f'\n      "re": {re_text},\n      "im": {im_text}\n    }}'
-        )
-        sep = ",\n"
-    out.write(("\n  ]" if sep == ",\n" else "]") + tail)
+    entry = np.array([f",\n        {v}".encode() for v in range(n + 1)])
+    term = (
+        '    {\n      "tuple": [%s\n      ],\n      "embedded": "%s",'
+        f'\n      "re": {json.dumps(_uniform_amplitude(n))},\n      "im": 0.0\n    }}'
+    )
+
+    def chunks() -> Iterator[str]:
+        yield head + '\n  "terms": ['
+        sep = "\n"
+        for row, rank in terms:
+            listing = np.take(entry, row).tobytes().replace(b"\0", b"")[1:].decode()
+            yield sep + term % (listing, rank)
+            sep = ",\n"
+        yield "\n  ]" + tail
+
+    return chunks()
 
 
 def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = None) -> str:
-    """Serialize with ``write_state_json``, terms in the state's insertion
+    """``json.dumps(document, indent=2)`` of {**extra, "m", "n", "terms":
+    [{"tuple", "embedded", "re", "im"}]}, terms in the state's insertion
     order (cycle order for states built here).  ``extra`` prepends
-    additional top-level keys (e.g. a run manifest)."""
-    buf = io.StringIO()
-    write_state_json(
-        buf,
-        state.m,
-        (
-            (idx, decimal_string(kappa(idx)), a.real, a.imag)
-            for idx, a in state.amplitudes.items()
-        ),
-        extra,
-    )
-    return buf.getvalue()
+    additional top-level keys (e.g. a run manifest).
+
+    The embedded index is a decimal string, so consumers limited to 64-bit
+    integers survive large m.  This is the byte contract of
+    ``state_json_chunks``, written here independently of it, so tests can
+    compare the two.
+    """
+    terms = [
+        {"tuple": list(idx), "embedded": decimal_string(kappa(idx)), "re": a.real, "im": a.imag}
+        for idx, a in state.amplitudes.items()
+    ]
+    return json.dumps({**(extra or {}), "m": state.m, "n": state.n, "terms": terms}, indent=2)
 
 
 def state_from_json(text: str) -> SparseState:
-    """Parse the document written by ``write_state_json``, as strictly as
-    ``config_from_json`` parses a configuration: ``m``, ``n`` = 2m and every
-    tuple entry are JSON integers, ``embedded`` is a string equal to the
-    tuple's rank, ``re`` and ``im`` are JSON numbers, and no tuple repeats.
+    """Parse the document written by ``state_json_chunks`` (or its reference
+    ``state_to_json``), as strictly as ``config_from_json`` parses a
+    configuration: ``m``, ``n`` = 2m and every tuple entry are JSON
+    integers, ``embedded`` is a string equal to the tuple's rank, ``re`` and
+    ``im`` are JSON numbers, and no tuple repeats.
     Nothing is coerced, every fault raises OutOfRange, and unknown keys are
     ignored.
     """

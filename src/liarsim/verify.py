@@ -207,7 +207,7 @@ def _canonical_pairing(m_max: int, rng) -> str:
     if tuple(map(kappa, states)) != CANONICAL_EIGHT_EMBEDDED:
         raise CheckFailed("embedded indices differ from record")
     for config in _config_for(m_max):
-        terms = [(tuple(row.tolist()), rank) for row, rank, _, _ in initial_state_terms(config)]
+        terms = [(tuple(row.tolist()), rank) for row, rank in initial_state_terms(config)]
         if [row for row, _ in terms] != list(cycle_states(config)):
             raise CheckFailed(f"m={config.m}: streamed rows differ from the cycle states")
         for t, (row, rank) in enumerate(terms, start=1):

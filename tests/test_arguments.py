@@ -27,7 +27,7 @@ from liarsim import (
     verify_minimality,
 )
 from liarsim.audit import solve_constraints
-from liarsim.evolution import trace_csv_chunks, trace_to_csv
+from liarsim.evolution import TraceRow, trace_csv_chunks, trace_to_csv
 from liarsim.inference import infer_next
 from liarsim.statespace import canonical_entry_cycle
 from liarsim.verify import run_verification
@@ -63,9 +63,17 @@ CALLS = {
         "ibii",
     ),
     "trace_csv_chunks": (
-        lambda s, v, a: trace_csv_chunks(eight_liar(), (s, v), 0.5, 0.5, sentences=[a]),
-        (1, True, 1),
-        "ibi",
+        lambda s, v, a, p: trace_csv_chunks(
+            eight_liar(), (s, v), 0.5, 0.5, sentences=[a], precision=p
+        ),
+        (1, True, 1, 12),
+        "ibii",
+    ),
+    "hypothesis_at": (WALK.hypothesis_at, (1,), "i"),
+    "trace_to_csv": (
+        lambda s, p: trace_to_csv([TraceRow(0.0, s, 1.0, 0.0)], precision=p),
+        (1, 12),
+        "ii",
     ),
 }
 
@@ -118,7 +126,9 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 
 
 # The library misuses that ended in a traceback or in a result: the first
-# three through inference, the rest through the other integer arguments.
+# three through inference, the rest through the other integer arguments
+# (a trace_csv_chunks precision raised only after the header was yielded,
+# and trace_to_csv wrote sentence 1.5 as 1).
 @pytest.mark.parametrize(
     "call, args, message",
     [
@@ -137,6 +147,21 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
         (apply_steps, (EV, PSI0, 1.5), "step count must be an integer, got 1.5"),
         (run_verification, (8.0,), "verification covers 1 <= m_max <= 8, got 8.0"),
         (verify_minimality, (3.0,), "audit covers 2 <= m <= 4, got 3.0"),
+        (WALK.hypothesis_at, (1.5,), "step must be an integer, got 1.5"),
+        (WALK.hypothesis_at, (True,), "step must be an integer, got True"),
+        (trace_to_csv, ((), (), 1.5), "precision must be an integer, got 1.5"),
+        (trace_to_csv, ((), (), -1), "precision must be in 1..17, got -1"),
+        (trace_to_csv, ((), (), True), "precision must be an integer, got True"),
+        (
+            lambda: trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, precision=1.5),
+            (),
+            "precision must be an integer, got 1.5",
+        ),
+        (
+            trace_to_csv,
+            ([TraceRow(0.0, 1.5, 1.0, 0.0)],),
+            "trace row sentence must be an integer, got 1.5",
+        ),
     ],
 )
 def test_found_misuse_is_a_one_line_out_of_range(call, args, message):

@@ -228,7 +228,7 @@ def test_state_export_matches_reference_on_random_configs(config):
     with contextlib.redirect_stdout(out):
         assert main(["state", "--config", spec]) == 0
     _assert_same_bytes(out.getvalue(), _reference_state_text(config, spec))
-    terms = [(tuple(row.tolist()), rank) for row, rank, _, _ in initial_state_terms(config)]
+    terms = [(tuple(row.tolist()), rank) for row, rank in initial_state_terms(config)]
     assert terms == [(row, str(kappa(row))) for row in cycle_states(config)]
     state = build_initial_state(config)
     assert state_from_json(state_to_json(state)) == state
@@ -434,6 +434,22 @@ def test_trace_gnuplot_rejects_a_newline_in_the_data_path(
         "liarsim: error: --out must not contain a newline when --gnuplot is given"
     ]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_refuses_a_config_with_a_line_break_that_state_accepts(tmp_path, capsys):
+    # the manifest echoes --config into the trace header, one comment line
+    inline = '{"m": 1,\n "referent": [1], "negating": [true]}'
+    target = tmp_path / "trace.csv"
+    assert main(["trace", "--config", inline, "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"liarsim: error: trace header line {'config=' + inline!r} holds a line break"
+    ]
+    assert not target.exists()
+    assert main(["state", "--config", inline]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["config"] == inline
+
 
 def test_trace_gnuplot_requires_out(capsys):
     args = ["trace", "--config", "one-liar", "--gnuplot", "x.gp"]

@@ -410,6 +410,20 @@ def test_trace_csv_chunks_validate_on_the_call():
     assert "".join(chunks) == trace_to_csv(rows, header_lines=("x",))
 
 
+@pytest.mark.parametrize("line", ["a\nb", "a\rb", "a\r\nb"], ids=["lf", "cr", "crlf"])
+def test_trace_writers_refuse_a_header_line_with_a_line_break(line):
+    # the text after the break would be a CSV data line, not a comment
+    header = ("command=trace", f"config={line}")
+    message = f"trace header line {header[1]!r} holds a line break"
+    rows = probability_trace(one_liar(), (1, True), (0.0,))
+    with pytest.raises(OutOfRange) as failure:
+        trace_to_csv(rows, header_lines=header)
+    assert str(failure.value) == message
+    with pytest.raises(OutOfRange) as failure:
+        trace_csv_chunks(one_liar(), (1, True), 0.0, 0.5, header_lines=header)
+    assert str(failure.value) == message
+
+
 def test_trace_csv_format():
     rows = probability_trace(one_liar(), (1, True), (0.0, 0.5))
     text = trace_to_csv(rows, header_lines=("command=trace", "config=one-liar"))

@@ -1,6 +1,5 @@
 import decimal
 import inspect
-import io
 import itertools
 import json
 import math
@@ -11,6 +10,8 @@ import numpy as np
 import pytest
 
 from liarsim import (
+    Configuration,
+    NotParadoxical,
     OutOfRange,
     SparseState,
     build_initial_state,
@@ -27,8 +28,8 @@ from liarsim.statespace import (
     check_tensor_index,
     initial_state_terms,
     state_from_json,
+    state_json_chunks,
     state_to_json,
-    write_state_json,
 )
 
 from golden import EIGHT_EMBEDDED, EIGHT_TUPLES
@@ -97,7 +98,7 @@ def test_entries_per_sentence_are_derived_from_m():
         (kappa, ["idx"]),
         (kappa_inverse, ["e", "m"]),
         (check_tensor_index, ["idx"]),
-        (write_state_json, ["out", "m", "terms", "extra"]),
+        (state_json_chunks, ["config", "extra"]),
     ):
         assert list(inspect.signature(fn).parameters) == params
 
@@ -258,40 +259,44 @@ def test_state_json_is_json_dumps_with_indent():
         assert state_to_json(state, extra=extra) == json.dumps(doc, indent=2)
 
 
-@pytest.mark.parametrize("config", [one_liar(), simple_liar(2), eight_liar()],
-                         ids=["m1", "m2", "m8"])
+# "m" and "terms" are overridden by the document's own keys, in place
+_EXTRA = {
+    "terms": "replaced",
+    "manifest": {"nested": [1, {"a": None, "b": [True, 0.5]}], "text": 'a " and \n\r'},
+    "m": 99,
+    "trailing": {"terms": [], "\n  \"terms\": []": 'say "hi"\n'},
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [one_liar(), *map(simple_liar, range(2, 13)), eight_liar()],
+    ids=["m1", "m2", *(f"simple{m}" for m in range(3, 13)), "m8"],
+)
 def test_state_writer_gives_the_same_bytes_for_tuples_and_table_rows(config):
-    # state_to_json hands the writer tuples of ints, initial_state_terms the
-    # int32 rows of the cycle table
-    buf = io.StringIO()
-    write_state_json(buf, config.m, initial_state_terms(config), {"manifest": {"m": 1}})
-    assert buf.getvalue() == state_to_json(
-        build_initial_state(config), extra={"manifest": {"m": 1}}
-    )
+    # state_to_json is json.dumps over the state's tuples; state_json_chunks
+    # formats the int32 rows and streamed ranks of initial_state_terms
+    for extra in ({"manifest": {"m": 1}}, _EXTRA):
+        assert "".join(state_json_chunks(config, extra)) == state_to_json(
+            build_initial_state(config), extra=extra
+        )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [Configuration(2, (2, 1), (True, True)), Configuration(1, (1,), (False,))],
+    ids=["even-negations", "no-negation"],
+)
+def test_state_writer_checks_on_the_call(config):
+    # a Configuration is valid once built, so being paradoxical is what is
+    # left to check
+    with pytest.raises(NotParadoxical):
+        state_json_chunks(config)  # no next(): the call itself raises
 
 
 def test_state_json_round_trip_past_the_int_str_limit():
     state = SparseState(1300, {(2600,) * 1300: 1.0})  # rank 2600^1300
     assert state_from_json(state_to_json(state)) == state
-
-
-@pytest.mark.parametrize(
-    "entries,embedded",
-    [
-        ((-1, 1), "1"),
-        ((0, 1), "1"),
-        ((1,), "1"),
-        ((5, 1), "5"),
-        ((1, 1), '1"x'),
-        ((1, 1), ""),
-        ((1, 1), "1\u0661"),
-        (np.array([1, 5], dtype=np.int32), "1"),
-    ],
-    ids=["negative", "zero", "short", "above-2m", "quote", "empty", "non-ascii", "int32-above-2m"],
-)
-def test_state_writer_rejects_malformed_terms(entries, embedded):
-    with pytest.raises(OutOfRange, match="malformed term for m = 2"):
-        write_state_json(io.StringIO(), 2, [(entries, embedded, 0.5, 0.0)])
 
 
 _TERM = {"tuple": [1], "embedded": "1", "re": 0.5, "im": 0.0}

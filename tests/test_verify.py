@@ -246,13 +246,13 @@ def test_minus_pi_branch_fails_branch_independence(monkeypatch):
 
 def _third_rank_one_too_high(terms):
     if len(terms) > 2:  # m = 1 has two terms
-        row, rank, re_, im = terms[2]
-        terms[2] = (row, str(int(rank) + 1), re_, im)
+        row, rank = terms[2]
+        terms[2] = (row, str(int(rank) + 1))
 
 
 def _two_rows_swapped(terms):
-    (a, *rest_a), (b, *rest_b) = terms[0], terms[1]
-    terms[0], terms[1] = (b, *rest_a), (a, *rest_b)
+    (a, rank_a), (b, rank_b) = terms[0], terms[1]
+    terms[0], terms[1] = (b, rank_a), (a, rank_b)
 
 
 @pytest.mark.parametrize("edit", [_third_rank_one_too_high, _two_rows_swapped])
