@@ -32,7 +32,7 @@ from .config import (
 from .errors import LiarSimError, OutOfRange
 from .evolution import check_precision, trace_csv_chunks, trace_sentences
 from .statespace import decimal_string, state_json_chunks
-from .verify import all_passed, run_verification
+from .verify import run_verification
 
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "LIARSIM_PRECISION"
@@ -160,11 +160,11 @@ def cmd_state(args) -> int:
 def _echo_float(x: float) -> str:
     """x in the fewest significant digits, from 12 to 17, that read back as x,
     so a rerun with the echoed manifest reproduces the run."""
-    for digits in range(12, 17):
+    for digits in range(12, 18):
         text = f"{x:.{digits}g}"
-        if float(text) == x:
+        # 17 digits read back as any finite x; a NaN never compares equal
+        if digits == 17 or float(text) == x:
             return text
-    return f"{x:.17g}"
 
 
 def _gnuplot_script(csv_path: str, sentences: tuple[int, ...]) -> str:
@@ -255,12 +255,9 @@ def cmd_verify(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<{width}}  {status}  {r.detail}")
-    if all_passed(results):
-        print(f"{len(results)} checks passed")
-        return 0
-    failed = sum(1 for r in results if not r.passed)
-    print(f"{failed} of {len(results)} checks FAILED")
-    return 2
+    failed, total = sum(not r.passed for r in results), len(results)
+    print(f"{failed} of {total} checks FAILED" if failed else f"{total} checks passed")
+    return 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,9 @@ basis (which is why the unreasoned initial state is time invariant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .config import Configuration, check_sentence, is_json_int
@@ -94,12 +96,11 @@ class SubspaceEvolution:
     """
 
     basis: tuple[TensorIndex, ...]
-    positions: dict[TensorIndex, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "positions", {idx: t for t, idx in enumerate(self.basis)}
-        )
+    @cached_property
+    def positions(self) -> dict[TensorIndex, int]:
+        """The position of each cycle state in ``basis``."""
+        return {idx: t for t, idx in enumerate(self.basis)}
 
     @property
     def size(self) -> int:
@@ -315,11 +316,16 @@ def probability_trace(
     each requested time.  Times are in output units of ``time_scale`` per
     reasoning step, i.e. the evolution parameter is t / time_scale.  Rows
     are ordered time-major, sentence-minor (ascending).  The kernel is the
-    closed form described at ``_trace_kernel``.
+    closed form described at ``_trace_kernel``.  ``times`` must be a
+    one-dimensional sequence of real numbers (``bool`` is not one).
     """
     import numpy as np
 
-    t = np.asarray(times, dtype=float)
+    t = np.asarray(times, dtype=object)
+    real = all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in t.flat)
+    if t.ndim != 1 or not real:
+        raise OutOfRange("times must be a one-dimensional sequence of real numbers")
+    t = t.astype(float)
     sentences, kernel = _trace_kernel(
         config,
         initial_measurement,

@@ -10,7 +10,8 @@ discrete evolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .config import Configuration, check_sentence, check_truth_value, is_json_int, is_paradoxical
 from .errors import NotParadoxical, OutOfRange
@@ -32,11 +33,11 @@ class ReasoningCycle:
 
     m: int
     steps: tuple[HypothesisStep, ...]
-    positions: dict[tuple[int, bool], int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        positions = {(s.sentence, s.value): s.step for s in self.steps}
-        object.__setattr__(self, "positions", positions)
+    @cached_property
+    def positions(self) -> dict[tuple[int, bool], int]:
+        """The step of each (sentence, value) hypothesis."""
+        return {(s.sentence, s.value): s.step for s in self.steps}
 
     def step_of(self, sentence: int, value: bool) -> int:
         """Position at which ``sentence`` is hypothesized to have ``value``;

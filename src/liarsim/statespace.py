@@ -46,7 +46,8 @@ no limit on their length.  Only the weights, one row and one rank are held,
 never the 2m rows that ``cycle_states`` builds for the dense oracle.
 ``state_json_chunks``, the writer behind ``liarsim state``, formats each
 term as it comes.  ``state_to_json`` is its reference: ``json.dumps`` of a
-``SparseState``'s document, sharing no code with the chunked writer.
+``SparseState``'s document, sharing no code with the chunked writer, so
+``verify``'s ``canonical-pairing`` check compares their bytes.
 """
 
 from __future__ import annotations
@@ -314,8 +315,8 @@ def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = No
 
     The embedded index is a decimal string, so consumers limited to 64-bit
     integers survive large m.  This is the byte contract of
-    ``state_json_chunks``, written here independently of it, so tests can
-    compare the two.
+    ``state_json_chunks``, written here independently of it, so that
+    ``verify``'s ``canonical-pairing`` check compares the two.
     """
     terms = [
         {"tuple": list(idx), "embedded": decimal_string(kappa(idx)), "re": a.real, "im": a.imag}
@@ -331,7 +332,9 @@ def state_from_json(text: str) -> SparseState:
     integers, ``embedded`` is a string equal to the tuple's rank, ``re`` and
     ``im`` are JSON numbers, and no tuple repeats.
     Nothing is coerced, every fault raises OutOfRange, and unknown keys are
-    ignored.
+    ignored.  Every term's structure, its length and entries through
+    ``SparseState``, is checked before any rank is computed, so a rejected
+    document costs time linear in its size.
     """
     what = "state document"
     m, n, terms = parse_json_fields(text, what, ("m", "n", "terms"))
@@ -340,6 +343,7 @@ def state_from_json(text: str) -> SparseState:
     if n != 2 * m:
         raise OutOfRange(f"malformed {what}: n = {n} is not 2m = {2 * m}")
     amps: dict[TensorIndex, complex] = {}
+    ranks = []
     for term in terms:
         idx, embedded, re, im = json_fields(term, what, ("tuple", "embedded", "re", "im"))
         if not (isinstance(idx, list) and all(is_json_int(e) for e in idx)):
@@ -347,12 +351,16 @@ def state_from_json(text: str) -> SparseState:
         idx = tuple(idx)
         if idx in amps:
             raise OutOfRange(f"malformed {what}: tuple {idx} repeats")
-        if not isinstance(embedded, str) or decimal_string(kappa(idx)) != embedded:
-            raise OutOfRange(f"term {idx} disagrees with its embedded index {embedded!r}")
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise OutOfRange(f"malformed {what}: re and im of {idx} must be numbers")
         try:
             amps[idx] = complex(re, im)
         except OverflowError:
             raise OutOfRange(f"malformed {what}: amplitude of {idx} overflows") from None
-    return SparseState(m, amps)
+        ranks.append(embedded)
+    # kappa of a tuple longer than m costs time quadratic in its length
+    state = SparseState(m, amps)
+    for idx, embedded in zip(state.amplitudes, ranks):
+        if not isinstance(embedded, str) or decimal_string(kappa(idx)) != embedded:
+            raise OutOfRange(f"term {idx} disagrees with its embedded index {embedded!r}")
+    return state

@@ -126,9 +126,14 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 
 
 # The library misuses that ended in a traceback or in a result: the first
-# three through inference, the rest through the other integer arguments
-# (a trace_csv_chunks precision raised only after the header was yielded,
-# and trace_to_csv wrote sentence 1.5 as 1).
+# three through inference, then the other integer arguments (a
+# trace_csv_chunks precision raised only after the header was yielded, and
+# trace_to_csv wrote sentence 1.5 as 1), then probability_trace times that
+# are not one-dimensional real numbers ([[0.5]] gave no rows, [[0.5, 1.0]]
+# an IndexError, "x" a ValueError, 0.5j a TypeError, "0.5" and True a row).
+TIMES = "times must be a one-dimensional sequence of real numbers"
+
+
 @pytest.mark.parametrize(
     "call, args, message",
     [
@@ -162,6 +167,13 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
             ([TraceRow(0.0, 1.5, 1.0, 0.0)],),
             "trace row sentence must be an integer, got 1.5",
         ),
+        (probability_trace, (one_liar(), (1, True), [[0.5]]), TIMES),
+        (probability_trace, (one_liar(), (1, True), [[0.5, 1.0]]), TIMES),
+        (probability_trace, (one_liar(), (1, True), ["x"]), TIMES),
+        (probability_trace, (one_liar(), (1, True), [0.5j]), TIMES),
+        (probability_trace, (one_liar(), (1, True), ["0.5"]), TIMES),
+        (probability_trace, (one_liar(), (1, True), [True]), TIMES),
+        (probability_trace, (one_liar(), (1, True), "0.5"), TIMES),
     ],
 )
 def test_found_misuse_is_a_one_line_out_of_range(call, args, message):

@@ -346,6 +346,16 @@ def test_state_reader_rejects_malformed_documents(doc):
         state_from_json(json.dumps(doc))
 
 
+def test_state_reader_checks_every_length_before_any_rank():
+    # kappa of a tuple of k entries takes time quadratic in k, so SparseState
+    # checks every term's length first, even one after a term whose rank is
+    # wrong, and the error names the length
+    long_term = {**_TERM, "tuple": [2] * 32000}
+    for terms in ([long_term], [{**_TERM, "embedded": "2"}, long_term]):
+        with pytest.raises(OutOfRange, match=r"has length 32000, expected 1$"):
+            state_from_json(json.dumps(_state_doc(terms=terms)))
+
+
 def test_state_reader_errors_match_the_config_reader():
     with pytest.raises(OutOfRange, match="nested too deeply"):
         state_from_json('{"m": ' + "[" * 50000)

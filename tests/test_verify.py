@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -6,17 +7,18 @@ import numpy as np
 import pytest
 
 import liarsim.evolution as evolution
+import liarsim.statespace as statespace
 import liarsim.verify as verify_mod
 from liarsim import OutOfRange, SparseState
 from liarsim.audit import MinimalityReport, solve_constraints
 from liarsim.inference import HypothesisStep, ReasoningCycle
 from liarsim.measurement import ProjectorSpec
-from liarsim.verify import all_passed, run_verification
+from liarsim.verify import run_verification
 
 
 def test_suite_passes_at_small_sizes():
     results = run_verification(3)
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert "cycle-closure" in names
     assert "dimension-audit" in names
@@ -24,7 +26,7 @@ def test_suite_passes_at_small_sizes():
 
 def test_suite_passes_at_full_size():
     results = run_verification(8)
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     assert len(results) == len({r.name for r in results})
 
 
@@ -85,7 +87,7 @@ def test_results_follow_the_table_order():
 
 def _failed(name):
     results = {r.name: r for r in run_verification(8)}
-    assert not all_passed(tuple(results.values()))
+    assert not all(r.passed for r in results.values())
     assert not results[name].passed
     return results[name].detail
 
@@ -218,7 +220,7 @@ def test_wrong_kappa_inverse_fails_kappa_roundtrip(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "kappa_inverse", wrong_at_five)
     assert _failed("kappa-roundtrip").startswith("failed at m=5, ")
-    assert all_passed(run_verification(4))
+    assert all(r.passed for r in run_verification(4))
 
 
 def test_overlapping_projectors_fail_completeness(monkeypatch):
@@ -257,13 +259,81 @@ def _two_rows_swapped(terms):
 
 @pytest.mark.parametrize("edit", [_third_rank_one_too_high, _two_rows_swapped])
 def test_a_wrong_state_stream_fails_canonical_pairing_only(monkeypatch, edit):
-    real = verify_mod.initial_state_terms
+    # the stream behind state_json_chunks, whose bytes canonical-pairing reads
+    real = statespace.initial_state_terms
 
     def edited(config):
         terms = list(real(config))
         edit(terms)
         return iter(terms)
 
-    passed = _results_with(monkeypatch, verify_mod, "initial_state_terms", edited)
+    passed = _results_with(monkeypatch, statespace, "initial_state_terms", edited)
     assert not passed["canonical-pairing"]
     assert sum(not ok for ok in passed.values()) == 1
+
+
+def _amplitude_digit_changed(text):
+    # the last digit of the shared amplitude 1/sqrt(2m), in every term
+    return re.sub(r'\d(?=,\n +"im")', lambda d: str((int(d[0]) + 1) % 10), text)
+
+
+def _head_byte_changed(text):
+    return text.replace('"n":', '"N":', 1)
+
+
+@pytest.mark.parametrize("edit", [_amplitude_digit_changed, _head_byte_changed])
+def test_a_wrong_state_document_fails_canonical_pairing_only(monkeypatch, edit):
+    # rows and ranks are untouched, so only a comparison of the bytes sees it
+    real = verify_mod.state_json_chunks
+
+    def edited(config, extra=None):
+        text = "".join(real(config, extra))
+        assert edit(text) != text
+        return iter([edit(text)])
+
+    passed = _results_with(monkeypatch, verify_mod, "state_json_chunks", edited)
+    assert not passed["canonical-pairing"]
+    assert sum(not ok for ok in passed.values()) == 1
+
+
+def test_values_not_m_steps_apart_fail_cycle_closure(monkeypatch):
+    # the first two hypotheses trade steps: still 2m distinct, but at m = 2
+    # sentence 1 is hypothesized false one step after true, not two; called
+    # directly, because the moved hypotheses would fail later checks too
+    real = verify_mod.reasoning_cycle
+
+    def traded(config, start_sentence=1, start_value=True):
+        walk = real(config, start_sentence, start_value)
+        a, b, *rest = walk.steps
+        traded = (
+            HypothesisStep(a.step, b.sentence, b.value),
+            HypothesisStep(b.step, a.sentence, a.value),
+        )
+        return ReasoningCycle(walk.m, traded + tuple(rest))
+
+    monkeypatch.setattr(verify_mod, "reasoning_cycle", traded)
+    detail = _raises_check_failed(verify_mod._cycle_closure)
+    assert detail == "m=2: sentence 1 values not m steps apart"
+
+
+def test_wrong_integer_step_fails_branch_independence(monkeypatch):
+    # every eigenphase halved: the step at t = 1 is already a different operator
+    real = verify_mod.principal_phases
+    monkeypatch.setattr(verify_mod, "principal_phases", lambda size: real(size) / 2)
+    assert _failed("branch-independence") == "m=1: integer step t=1 differs"
+
+
+def test_unexpected_witness_fails_dimension_audit(monkeypatch):
+    # a report that passes, but whose contradiction rests on another product
+    real = verify_mod.verify_minimality
+
+    def other_witness(m):
+        report = real(m)
+        witness = dataclasses.replace(
+            report.contradiction.witness, violated_zero_product="tau[1,1]*alpha(2,1) = 0"
+        )
+        contradiction = dataclasses.replace(report.contradiction, witness=witness)
+        return dataclasses.replace(report, contradiction=contradiction)
+
+    monkeypatch.setattr(verify_mod, "verify_minimality", other_witness)
+    assert _failed("dimension-audit") == "m=2: unexpected witness tau[1,1]*alpha(2,1) = 0"
