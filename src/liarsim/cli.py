@@ -9,6 +9,11 @@ verification style command finds a failing check.  Every run is
 deterministic given its arguments, and trace/state outputs echo the
 resolved run manifest in their header so a rerun can be reproduced from
 the artifact alone.
+
+Run as the program (``main()`` with no ``argv``), it sets
+``OPENBLAS_NUM_THREADS=1`` unless the variable is already set, since no
+command makes a BLAS call that threads would help; library imports and
+in-process ``main(argv)`` calls leave the environment alone.
 """
 
 from __future__ import annotations
@@ -321,6 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # the process is the program's own (see the module docstring); numpy
+        # loads only after this line, so OpenBLAS reads it as it starts
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

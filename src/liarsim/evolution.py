@@ -325,7 +325,12 @@ def probability_trace(
     real = all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in t.flat)
     if t.ndim != 1 or not real:
         raise OutOfRange("times must be a one-dimensional sequence of real numbers")
-    t = t.astype(float)
+    try:
+        t = t.astype(float)
+    except OverflowError:
+        raise OutOfRange(
+            "evolution time must be finite, got one too large for a float"
+        ) from None
     sentences, kernel = _trace_kernel(
         config,
         initial_measurement,

@@ -55,6 +55,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -176,7 +177,10 @@ class SparseState:
         for idx, a in self.amplitudes.items():
             idx = tuple(idx)
             if len(idx) != self.m:
-                raise OutOfRange(f"tuple {idx} has length {len(idx)}, expected {self.m}")
+                # a bounded prefix: the tuple may be far longer than m
+                raise OutOfRange(
+                    f"tuple {reprlib.repr(idx)} has length {len(idx)}, expected {self.m}"
+                )
             check_tensor_index(idx)
             amps[idx] = complex(a)
         object.__setattr__(self, "amplitudes", amps)
@@ -347,16 +351,22 @@ def state_from_json(text: str) -> SparseState:
     for term in terms:
         idx, embedded, re, im = json_fields(term, what, ("tuple", "embedded", "re", "im"))
         if not (isinstance(idx, list) and all(is_json_int(e) for e in idx)):
-            raise OutOfRange(f"malformed {what}: tuple {idx!r} is not a list of integers")
+            raise OutOfRange(
+                f"malformed {what}: tuple {reprlib.repr(idx)} is not a list of integers"
+            )
         idx = tuple(idx)
         if idx in amps:
-            raise OutOfRange(f"malformed {what}: tuple {idx} repeats")
+            raise OutOfRange(f"malformed {what}: tuple {reprlib.repr(idx)} repeats")
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-            raise OutOfRange(f"malformed {what}: re and im of {idx} must be numbers")
+            raise OutOfRange(
+                f"malformed {what}: re and im of {reprlib.repr(idx)} must be numbers"
+            )
         try:
             amps[idx] = complex(re, im)
         except OverflowError:
-            raise OutOfRange(f"malformed {what}: amplitude of {idx} overflows") from None
+            raise OutOfRange(
+                f"malformed {what}: amplitude of {reprlib.repr(idx)} overflows"
+            ) from None
         ranks.append(embedded)
     # kappa of a tuple longer than m costs time quadratic in its length
     state = SparseState(m, amps)

@@ -130,8 +130,10 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 # trace_csv_chunks precision raised only after the header was yielded, and
 # trace_to_csv wrote sentence 1.5 as 1), then probability_trace times that
 # are not one-dimensional real numbers ([[0.5]] gave no rows, [[0.5, 1.0]]
-# an IndexError, "x" a ValueError, 0.5j a TypeError, "0.5" and True a row).
+# an IndexError, "x" a ValueError, 0.5j a TypeError, "0.5" and True a row,
+# and an integer past the float range an OverflowError).
 TIMES = "times must be a one-dimensional sequence of real numbers"
+HUGE_TIME = "evolution time must be finite, got one too large for a float"
 
 
 @pytest.mark.parametrize(
@@ -174,6 +176,8 @@ TIMES = "times must be a one-dimensional sequence of real numbers"
         (probability_trace, (one_liar(), (1, True), ["0.5"]), TIMES),
         (probability_trace, (one_liar(), (1, True), [True]), TIMES),
         (probability_trace, (one_liar(), (1, True), "0.5"), TIMES),
+        (probability_trace, (one_liar(), (1, True), [10**400]), HUGE_TIME),
+        (probability_trace, (one_liar(), (1, True), [-(10**400)]), HUGE_TIME),
     ],
 )
 def test_found_misuse_is_a_one_line_out_of_range(call, args, message):

@@ -768,6 +768,85 @@ def test_no_command_loads_numpy_random(argv):
     assert proc.stdout == "0 True False\n"
 
 
+def _blas_name():
+    """The name of numpy's BLAS, or "" where numpy does not report it
+    (``show_config`` takes ``mode`` from numpy 1.25 on)."""
+    import numpy
+
+    try:
+        return numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+requires_openblas_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or "openblas" not in _blas_name().lower(),
+    reason="counts threads in /proc/self/task of a numpy built on OpenBLAS",
+)
+# Runs liarsim.cli.main() as the console script does, with sys.argv set and
+# stdout already sent to a file, then prints the exit code, the number of
+# threads of the process and OPENBLAS_NUM_THREADS.
+_THREAD_PROBE = """\
+import os, sys
+from liarsim.cli import main
+sys.argv = ["liarsim", *sys.argv[1:]]
+code = main()
+print(code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"),
+      file=sys.stderr)
+"""
+
+
+def _thread_probe(argv, tmp_path, **env):
+    """(exit code, thread count, OPENBLAS_NUM_THREADS) after a child process
+    has run ``main()`` on ``argv``, with ``env`` added to an environment
+    that does not set OPENBLAS_NUM_THREADS."""
+    child_env = _cli_env()
+    child_env.pop("OPENBLAS_NUM_THREADS", None)
+    with open(tmp_path / "stdout", "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, *argv],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**child_env, **env},
+            timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    code, threads, value = proc.stderr.split()
+    return int(code), int(threads), value
+
+
+@requires_openblas_threads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--config", "simple:64", "--t-max", "4", "--out", "trace.csv"],
+        ["state", "--config", "simple:64", "--out", "state.json"],
+        ["verify", "--m-max", "8"],
+    ],
+    ids=["trace", "state", "verify"],
+)
+def test_the_program_starts_no_blas_threads(argv, tmp_path):
+    # the console script calls main() with no argv: OpenBLAS then starts
+    # one thread, not one per CPU
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    assert _thread_probe(argv, tmp_path) == (0, 1, "1")
+
+
+@requires_openblas_threads
+def test_the_callers_blas_thread_setting_wins(tmp_path):
+    argv = ["state", "--config", "eight-liar"]
+    code, _, value = _thread_probe(argv, tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert (code, value) == (0, "2")
+
+
+def test_an_in_process_main_leaves_the_environment_alone(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--config", "eight-liar", "--t-max", "1", "--out", str(out)]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 @pytest.mark.parametrize(
     "extra",
     [

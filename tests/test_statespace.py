@@ -356,6 +356,49 @@ def test_state_reader_checks_every_length_before_any_rank():
             state_from_json(json.dumps(_state_doc(terms=terms)))
 
 
+_LONG = [2] * 32000
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SparseState(1, {tuple(_LONG): 1}), "tuple (2, 2, 2, 2, 2, 2, ...) has length"),
+        (
+            lambda: state_from_json(json.dumps(_state_term(tuple=_LONG))),
+            "tuple (2, 2, 2, 2, 2, 2, ...) has length",
+        ),
+        (
+            lambda: state_from_json(json.dumps(_state_term(tuple=[*_LONG, 1.5]))),
+            "tuple [2, 2, 2, 2, 2, 2, ...] is not",
+        ),
+        (
+            lambda: state_from_json(
+                json.dumps(_state_doc(terms=[{**_TERM, "tuple": _LONG}] * 2))
+            ),
+            "tuple (2, 2, 2, 2, 2, 2, ...) repeats",
+        ),
+        (
+            lambda: state_from_json(json.dumps(_state_term(tuple=_LONG, re="0.5"))),
+            "re and im of (2, 2, 2, 2, 2, 2, ...) must",
+        ),
+        (
+            lambda: state_from_json(json.dumps(_state_term(tuple=_LONG, re=10**400))),
+            "amplitude of (2, 2, 2, 2, 2, 2, ...) overflows",
+        ),
+    ],
+    ids=[
+        "sparse-state", "reader-length", "reader-entry", "reader-repeat", "reader-re",
+        "reader-overflow",
+    ],
+)
+def test_a_long_tuple_is_quoted_by_a_bounded_prefix(make, message):
+    # the 32,000-entry tuple itself was quoted, a message of 96,035 characters
+    with pytest.raises(OutOfRange) as failure:
+        make()
+    text = str(failure.value)
+    assert message in text and len(text) < 200, text[:300]
+
+
 def test_state_reader_errors_match_the_config_reader():
     with pytest.raises(OutOfRange, match="nested too deeply"):
         state_from_json('{"m": ' + "[" * 50000)
