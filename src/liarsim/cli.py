@@ -14,6 +14,9 @@ Run as the program (``main()`` with no ``argv``), it sets
 ``OPENBLAS_NUM_THREADS=1`` unless the variable is already set, since no
 command makes a BLAS call that threads would help; library imports and
 in-process ``main(argv)`` calls leave the environment alone.
+
+``verify`` writes each check's line as soon as that check ends, so its
+first lines leave the process before numpy loads.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .config import (
 from .errors import LiarSimError, OutOfRange
 from .evolution import check_precision, trace_csv_chunks, trace_sentences
 from .statespace import decimal_string, state_json_chunks
-from .verify import run_verification
+from .verify import CHECKS, verification_results
 
 DEFAULT_PRECISION = 12
 PRECISION_ENV = "LIARSIM_PRECISION"
@@ -255,11 +258,14 @@ def cmd_check_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verification(args.m_max)
-    width = max(len(r.name) for r in results)
-    for r in results:
+    # the results carry the names of CHECKS, so the column width is known
+    # before the first check ends and each line is written as it ends
+    width = max(len(name) for name, _ in CHECKS)
+    results = []
+    for r in verification_results(args.m_max):
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
+        print(f"{r.name:<{width}}  {status}  {r.detail}", flush=True)
+        results.append(r)
     failed, total = sum(not r.passed for r in results), len(results)
     print(f"{failed} of {total} checks FAILED" if failed else f"{total} checks passed")
     return 2 if failed else 0

@@ -85,6 +85,12 @@ def _check_finite_time(tau: float) -> None:
         raise OutOfRange(f"evolution time must be finite, got {tau}")
 
 
+def _too_large(what: str) -> OutOfRange:
+    """The error for an integer ``what`` past the float range: finite, but
+    its float would be infinite."""
+    return OutOfRange(f"{what} must be finite, got one too large for a float")
+
+
 @dataclass(frozen=True, eq=False)
 class SubspaceEvolution:
     """Spectral description of one reasoning step on the cycle basis.
@@ -281,6 +287,10 @@ def _trace_kernel(
     sentences = trace_sentences(sentences, m)
     if not 0 < time_scale < math.inf:
         raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
+    try:
+        time_scale = float(time_scale)
+    except OverflowError:
+        raise _too_large("time scale") from None
     walk = reasoning_cycle(config)
     origin = walk.step_of(start_sentence, start_value)
     trace_row_count(count, len(sentences))
@@ -328,9 +338,7 @@ def probability_trace(
     try:
         t = t.astype(float)
     except OverflowError:
-        raise OutOfRange(
-            "evolution time must be finite, got one too large for a float"
-        ) from None
+        raise _too_large("evolution time") from None
     sentences, kernel = _trace_kernel(
         config,
         initial_measurement,
@@ -355,7 +363,10 @@ def grid_size(t_max: float, dt: float) -> int:
         raise OutOfRange(
             f"need finite dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}"
         )
-    steps = t_max / dt
+    try:
+        steps = t_max / dt
+    except OverflowError:
+        raise _too_large("t_max and dt") from None
     if not math.isfinite(steps):
         raise OutOfRange(f"t_max/dt must be finite, got t_max={t_max}, dt={dt}")
     return int(math.floor(steps + 1e-9)) + 1

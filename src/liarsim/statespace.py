@@ -372,5 +372,8 @@ def state_from_json(text: str) -> SparseState:
     state = SparseState(m, amps)
     for idx, embedded in zip(state.amplitudes, ranks):
         if not isinstance(embedded, str) or decimal_string(kappa(idx)) != embedded:
-            raise OutOfRange(f"term {idx} disagrees with its embedded index {embedded!r}")
+            raise OutOfRange(
+                f"term {reprlib.repr(idx)} disagrees with its embedded index"
+                f" {reprlib.repr(embedded)}"
+            )
     return state

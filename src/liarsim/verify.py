@@ -11,6 +11,9 @@ minimal-dimension audit.
 The eight-sentence ground truth lives in module constants so a corrupted
 copy is observable: the pairing check reads the constants at call time and
 must fail if they disagree with the freshly computed state.
+
+``verification_results`` yields each check's result as soon as that check
+ends; ``run_verification`` collects them all.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .audit import verify_minimality
 from .config import (
@@ -216,8 +219,13 @@ def _integer_steps(m_max: int, rng) -> str:
         ev = build_evolution(config)
         cycle = reasoning_cycle(config, 1, True)
         psi0 = build_initial_state(config)
+        projectors = {
+            (j, v): hypothesis_projector(j, v, m)
+            for j in range(1, m + 1)
+            for v in (True, False)
+        }
         for start_value in (True, False):
-            state, _ = collapse(psi0, hypothesis_projector(1, start_value, m))
+            state, _ = collapse(psi0, projectors[1, start_value])
             t0 = cycle.step_of(1, start_value)
             # the shipped trace route, at every integer time at once
             traced = probability_trace(config, (1, start_value), range(period + 1))
@@ -229,7 +237,7 @@ def _integer_steps(m_max: int, rng) -> str:
                     row = traced[t * m + j - 1]
                     for v in (True, False):
                         want = 1.0 if (j, v) == expect else 0.0
-                        proj = hypothesis_projector(j, v, m)
+                        proj = projectors[j, v]
                         stepped_p = projection_probability(stepped, proj)
                         smooth_p = projection_probability(smooth, proj)
                         for label, p, tol in (
@@ -304,21 +312,21 @@ def _completeness(m_max: int, rng) -> str:
         m = config.m
         entries = range(1, 2 * m + 1)
         singles = [{j} for j in entries]
+        partitions = []
         for i in range(1, m + 1):
             # each of a sentence's 2m projectors keeps its own entry: a partition
-            if [single_entry_projector(i, j, m).entry_set for j in entries] != singles:
+            partition = [single_entry_projector(i, j, m) for j in entries]
+            if [p.entry_set for p in partition] != singles:
                 raise CheckFailed(f"m={m}: sentence {i} projectors are not a partition")
+            partitions.append(partition)
         ev = build_evolution(config)
         psi0 = build_initial_state(config)
         state, _ = collapse(psi0, hypothesis_projector(1, True, m))
         for _ in range(10):
             tau = rng.uniform(0, 4 * m)
             phi = propagate(ev, state, tau)
-            for i in range(1, m + 1):
-                total = sum(
-                    projection_probability(phi, single_entry_projector(i, j, m))
-                    for j in range(1, 2 * m + 1)
-                )
+            for partition in partitions:
+                total = sum(projection_probability(phi, p) for p in partition)
                 residuals.append(abs(total - 1.0))
     return _within(residuals, ADDITIVITY_TOLERANCE, "additivity defect")
 
@@ -374,20 +382,32 @@ CHECKS = (
 )
 
 
-def run_verification(m_max: int = 8) -> tuple[CheckResult, ...]:
-    """Run every check of CHECKS up to configuration size m_max, in order.
+def verification_results(m_max: int = 8) -> Iterator[CheckResult]:
+    """The result of each check of CHECKS up to configuration size m_max, in
+    order, each yielded as soon as its check returns or fails.
 
-    The checks draw their samples from one ``random.Random(VERIFY_SEED)``,
-    so the results are reproducible, the global ``random`` state is left
-    alone and ``numpy.random`` is never loaded.
+    ``m_max`` is checked on the call; the checks run as the results are
+    consumed.  They draw their samples from one
+    ``random.Random(VERIFY_SEED)``, so the results are reproducible, the
+    global ``random`` state is left alone and ``numpy.random`` is never
+    loaded.
     """
     if not (is_json_int(m_max) and 1 <= m_max <= 8):
         raise OutOfRange(f"verification covers 1 <= m_max <= 8, got {m_max!r}")
     rng = random.Random(VERIFY_SEED)
-    results = []
-    for name, check in CHECKS:
-        try:
-            results.append(CheckResult(name, True, check(m_max, rng)))
-        except CheckFailed as exc:
-            results.append(CheckResult(name, False, str(exc)))
-    return tuple(results)
+
+    def results() -> Iterator[CheckResult]:
+        for name, check in CHECKS:
+            try:
+                result = CheckResult(name, True, check(m_max, rng))
+            except CheckFailed as exc:
+                result = CheckResult(name, False, str(exc))
+            yield result
+
+    return results()
+
+
+def run_verification(m_max: int = 8) -> tuple[CheckResult, ...]:
+    """Run every check of CHECKS up to configuration size m_max, in order:
+    all of ``verification_results(m_max)``."""
+    return tuple(verification_results(m_max))

@@ -27,7 +27,13 @@ from liarsim import (
     verify_minimality,
 )
 from liarsim.audit import solve_constraints
-from liarsim.evolution import TraceRow, trace_csv_chunks, trace_to_csv
+from liarsim.evolution import (
+    TraceRow,
+    grid_size,
+    time_grid,
+    trace_csv_chunks,
+    trace_to_csv,
+)
 from liarsim.inference import infer_next
 from liarsim.statespace import canonical_entry_cycle
 from liarsim.verify import run_verification
@@ -131,9 +137,12 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 # trace_to_csv wrote sentence 1.5 as 1), then probability_trace times that
 # are not one-dimensional real numbers ([[0.5]] gave no rows, [[0.5, 1.0]]
 # an IndexError, "x" a ValueError, 0.5j a TypeError, "0.5" and True a row,
-# and an integer past the float range an OverflowError).
+# and an integer past the float range an OverflowError), then integer grid
+# bounds and time scales past the float range (an OverflowError each).
 TIMES = "times must be a one-dimensional sequence of real numbers"
 HUGE_TIME = "evolution time must be finite, got one too large for a float"
+HUGE_GRID = "t_max and dt must be finite, got one too large for a float"
+HUGE_SCALE = "time scale must be finite, got one too large for a float"
 
 
 @pytest.mark.parametrize(
@@ -178,6 +187,19 @@ HUGE_TIME = "evolution time must be finite, got one too large for a float"
         (probability_trace, (one_liar(), (1, True), "0.5"), TIMES),
         (probability_trace, (one_liar(), (1, True), [10**400]), HUGE_TIME),
         (probability_trace, (one_liar(), (1, True), [-(10**400)]), HUGE_TIME),
+        (trace_csv_chunks, (one_liar(), (1, True), 10**400, 1), HUGE_GRID),
+        (time_grid, (10**400, 1), HUGE_GRID),
+        (grid_size, (1.0, 10**400), HUGE_GRID),
+        (
+            lambda: probability_trace(one_liar(), (1, True), [1], time_scale=10**400),
+            (),
+            HUGE_SCALE,
+        ),
+        (
+            lambda: trace_csv_chunks(one_liar(), (1, True), 1.0, 0.5, time_scale=10**400),
+            (),
+            HUGE_SCALE,
+        ),
     ],
 )
 def test_found_misuse_is_a_one_line_out_of_range(call, args, message):

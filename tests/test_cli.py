@@ -1128,6 +1128,73 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_writes_each_line_as_its_check_ends(monkeypatch):
+    # a stand-in second check reads what has reached the bytes under a
+    # buffered stdout: the first check's line, flushed before it started
+    raw = io.BytesIO()
+    seen = []
+
+    def stand_in(m_max, rng):
+        seen.append(raw.getvalue().decode())
+        return "stand-in"
+
+    first = verify_mod.CHECKS[0]
+    monkeypatch.setattr(verify_mod, "CHECKS", (first, ("cycle-closure", stand_in)))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+    assert main(["verify", "--m-max", "8"]) == 0
+    assert len(seen) == 1 and re.fullmatch(r"counting +PASS  enumerated .*\n", seen[0])
+    assert raw.getvalue().decode().splitlines()[1:] == [
+        f"{'cycle-closure':<24}  PASS  stand-in",
+        "2 checks passed",
+    ]
+
+
+# Runs liarsim.cli.main(["verify", ...]) with a stdout that records, at its
+# first write, whether numpy is loaded, then prints the exit code and that
+# record.
+_FIRST_WRITE_PROBE = """\
+import sys
+from liarsim.cli import main
+
+class FirstWrite:
+    numpy_loaded = None
+
+    def write(self, text):
+        if self.numpy_loaded is None:
+            self.numpy_loaded = "numpy" in sys.modules
+        return len(text)
+
+    def flush(self):
+        pass
+
+out = sys.stdout = FirstWrite()
+code = main(["verify", "--m-max", "8"])
+sys.stdout = sys.__stdout__
+print(code, out.numpy_loaded)
+"""
+
+
+def test_verify_writes_its_first_line_before_numpy_loads():
+    # counting and cycle-closure compute without numpy
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_WRITE_PROBE],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
+def test_verify_reader_closing_the_pipe_early_is_not_an_error():
+    # the reader may leave between two checks, where the next line's flush
+    # meets the closed pipe
+    code, err = _pipe_closed_early(["verify", "--m-max", "8"])
+    assert code == 0
+    assert err == b""
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()

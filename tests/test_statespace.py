@@ -385,14 +385,24 @@ _LONG = [2] * 32000
             lambda: state_from_json(json.dumps(_state_term(tuple=_LONG, re=10**400))),
             "amplitude of (2, 2, 2, 2, 2, 2, ...) overflows",
         ),
+        (
+            # a tuple of the right length at m = 2048, whose rank is not 1
+            lambda: state_from_json(
+                json.dumps(
+                    _state_doc(m=2048, n=4096, terms=[{**_TERM, "tuple": [2] * 2048}])
+                )
+            ),
+            "term (2, 2, 2, 2, 2, 2, ...) disagrees with its embedded index '1'",
+        ),
     ],
     ids=[
         "sparse-state", "reader-length", "reader-entry", "reader-repeat", "reader-re",
-        "reader-overflow",
+        "reader-overflow", "reader-rank",
     ],
 )
 def test_a_long_tuple_is_quoted_by_a_bounded_prefix(make, message):
     # the 32,000-entry tuple itself was quoted, a message of 96,035 characters
+    # (11,224 for the 2048-entry tuple of a rank that disagrees)
     with pytest.raises(OutOfRange) as failure:
         make()
     text = str(failure.value)

@@ -37,6 +37,16 @@ def test_m_max_bounds():
         run_verification(9)
 
 
+def test_verification_results_checks_m_max_on_the_call():
+    # the generator is never iterated: the check runs before any result
+    with pytest.raises(OutOfRange):
+        verify_mod.verification_results(9)
+
+
+def test_verification_results_are_the_results_of_run_verification():
+    assert tuple(verify_mod.verification_results(8)) == run_verification(8)
+
+
 def test_corrupted_reference_is_caught(monkeypatch):
     # negative control: break one frozen embedded index and the pairing
     # check must fail while the structural checks keep passing
