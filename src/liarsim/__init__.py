@@ -15,8 +15,12 @@ No module imports numpy at import time: each function that computes with
 it imports it itself, after its argument checks.  Every module still loads
 eagerly, so ``import liarsim.cli`` loads the whole package but not numpy,
 and ``count``, ``check-dim`` and every rejected argument or configuration
-finish without it.  No command loads ``numpy.random``: ``verify`` draws its
-samples from the standard library's ``random``.
+finish without it.  The writers behind ``trace`` and ``state`` run every
+check on the call and build their kernels, tables and ranks only after
+their head, so the commands write and flush the head before numpy loads;
+``verify`` does the same with its first lines.  No command loads
+``numpy.random``: ``verify`` draws its samples from the standard library's
+``random``.
 """
 
 from .audit import Contradiction, Satisfiable, verify_minimality

@@ -15,8 +15,12 @@ Run as the program (``main()`` with no ``argv``), it sets
 command makes a BLAS call that threads would help; library imports and
 in-process ``main(argv)`` calls leave the environment alone.
 
-``verify`` writes each check's line as soon as that check ends, so its
-first lines leave the process before numpy loads.
+Every check of an argument or a configuration runs before the output is
+opened, and none of them loads numpy.  ``trace`` and ``state`` then write
+and flush their head (the manifest and column line, or the document up to
+``"terms": [``) before numpy loads, and build their kernels, tables and
+ranks after it; ``verify`` writes each check's line as soon as that check
+ends, so its first lines leave the process before numpy loads.
 """
 
 from __future__ import annotations
@@ -147,6 +151,15 @@ def _output(path: str | None):
             yield fh
 
 
+def _write_chunks(out, chunks) -> None:
+    """Write the first chunk and flush it, then the rest: the head leaves
+    the process before the later chunks are made, whether or not the
+    output is buffered."""
+    out.write(next(chunks))
+    out.flush()
+    out.writelines(chunks)
+
+
 def cmd_count(args) -> int:
     print(decimal_string(count_paradoxical(args.m)))
     return 0
@@ -155,12 +168,13 @@ def cmd_count(args) -> int:
 def cmd_state(args) -> int:
     config = resolve_config(args.config)
     manifest = {"command": "state", "config": args.config}
-    # Every check, down to the first row and its rank, runs on this call,
-    # before the output is opened, so a failure leaves no partial file.  The
-    # later rows and ranks are made one at a time as they are written.
+    # Every check runs on this call, before the output is opened, so a
+    # failure leaves no partial file.  The head is written and flushed before
+    # numpy loads; the tables, the rows and their ranks are made after it,
+    # one term at a time as they are written.
     chunks = state_json_chunks(config, {"manifest": manifest})
     with _output(args.out) as out:
-        out.writelines(chunks)
+        _write_chunks(out, chunks)
         out.write("\n")
     return 0
 
@@ -220,7 +234,9 @@ def cmd_trace(args) -> int:
         "precision": str(precision),
     }
     # Everything that can reject the run is checked here, before the output
-    # is opened, so a failure leaves no partial file.
+    # is opened, so a failure leaves no partial file.  The manifest and the
+    # column line are written and flushed before numpy loads; the kernel and
+    # the rows come after them.
     chunks = trace_csv_chunks(
         config,
         args.start,
@@ -233,7 +249,7 @@ def cmd_trace(args) -> int:
         precision=precision,
     )
     with _output(args.out) as out:
-        out.writelines(chunks)
+        _write_chunks(out, chunks)
     if args.gnuplot:
         with _output(args.gnuplot) as out:
             out.write(_gnuplot_script(args.out, sentences))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -83,6 +84,11 @@ def frame_operator(size: int, values: np.ndarray) -> np.ndarray:
 def _check_finite_time(tau: float) -> None:
     if not math.isfinite(tau):
         raise OutOfRange(f"evolution time must be finite, got {tau}")
+
+
+def _is_real(x: object) -> bool:
+    """True for a real number: ``numbers.Real``, but not ``bool``."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _too_large(what: str) -> OutOfRange:
@@ -271,7 +277,9 @@ def _trace_kernel(
     magnitude, and return its ``trace_sentences`` with its kernel.
 
     Every check runs on the call, so the caller may open its output once
-    this returns.  The kernel maps an array t of times to p, where
+    this returns, and none of them loads numpy: the displacements are a
+    list, and numpy, their array and ``_cycle_kernel`` wait for the
+    kernel's first call.  The kernel maps an array t of times to p, where
     p[:, :k] holds p_true and p[:, k:] p_false of the k sentences at t.
 
     The collapse leaves one cycle position, and each hypothesis sits at its
@@ -283,8 +291,18 @@ def _trace_kernel(
     exact route instead: w when (tau - d) mod N == 0, else 0.
     """
     m = config.m
-    start_sentence, start_value = initial_measurement
+    try:
+        start_sentence, start_value = initial_measurement
+    except (TypeError, ValueError):
+        raise OutOfRange(
+            "initial measurement must be a (sentence, truth value) pair,"
+            f" got {reprlib.repr(initial_measurement)}"
+        ) from None
     sentences = trace_sentences(sentences, m)
+    if not _is_real(time_scale):
+        raise OutOfRange(
+            f"time scale must be a real number, got {reprlib.repr(time_scale)}"
+        )
     if not 0 < time_scale < math.inf:
         raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
     try:
@@ -296,18 +314,22 @@ def _trace_kernel(
     trace_row_count(count, len(sentences))
     # |t| <= t_bound, so every tau is finite when this one is.
     _check_finite_time(t_bound / time_scale)
-    import numpy as np  # after the checks: a rejected trace never loads numpy
-
     size = 2 * m
     # Displacements of the traced hypotheses: all "true" columns, then all
     # "false" columns.
-    d = np.array([walk.step_of(i, v) - origin for v in (True, False) for i in sentences])
+    d = [walk.step_of(i, v) - origin for v in (True, False) for i in sentences]
     # The collapse weight w: the kept term has the initial amplitude
     # a = 1/sqrt(N), and renormalizing divides it by its norm.  The exact
     # route's float (a / sqrt(a**2))**2 is 1.0 at every even N up to
     # 2 * MAX_SENTENCES, as a test checks one by one.
     weight = 1.0 if renormalize else _uniform_amplitude(size) ** 2
-    return sentences, lambda t: weight * _cycle_kernel(t / time_scale, d, size)
+
+    def kernel(t: np.ndarray) -> np.ndarray:
+        import numpy as np  # on the first call: a validated trace loads it here
+
+        return weight * _cycle_kernel(t / time_scale, np.array(d), size)
+
+    return sentences, kernel
 
 
 def probability_trace(
@@ -332,8 +354,7 @@ def probability_trace(
     import numpy as np
 
     t = np.asarray(times, dtype=object)
-    real = all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in t.flat)
-    if t.ndim != 1 or not real:
+    if t.ndim != 1 or not all(map(_is_real, t.flat)):
         raise OutOfRange("times must be a one-dimensional sequence of real numbers")
     try:
         t = t.astype(float)
@@ -359,6 +380,11 @@ def probability_trace(
 def grid_size(t_max: float, dt: float) -> int:
     """Number of times in the grid 0, dt, 2*dt, ... up to and including
     t_max."""
+    if not (_is_real(t_max) and _is_real(dt)):
+        raise OutOfRange(
+            f"t_max and dt must be real numbers, got t_max={reprlib.repr(t_max)},"
+            f" dt={reprlib.repr(dt)}"
+        )
     if not (0 < dt < math.inf and 0 <= t_max < math.inf):
         raise OutOfRange(
             f"need finite dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}"
@@ -446,14 +472,16 @@ def trace_csv_chunks(
     ``trace_to_csv`` renders it, as text chunks: the header, then one chunk
     per block of whole times, at most ``_TRACE_BLOCK_ROWS`` rows each.
 
-    Every check, the row cap included, runs on the call; the chunks are
-    computed as they are consumed.  Each block formats its times and its
-    probabilities with ``_format_distinct``, so a time is formatted once
-    for all its sentences and a probability once per distinct value, packs
-    the strings of (t, p_true, p_false) into one (times, sentences, 3)
-    object array and fills a ``%s`` row template with it in one ``%``
-    operation.  The times are ``np.arange(lo, hi) * dt``, bit-identical to
-    ``time_grid``'s ``j * dt``.
+    Every check, the row cap included, runs on the call and loads no numpy
+    (see ``_trace_kernel``).  The chunks are computed as they are consumed:
+    the header first, so it can be written before numpy loads, then the
+    blocks, the first of which loads numpy and calls the kernel.  Each block
+    formats its times and its probabilities with ``_format_distinct``, so a
+    time is formatted once for all its sentences and a probability once per
+    distinct value, packs the strings of (t, p_true, p_false) into one
+    (times, sentences, 3) object array and fills a ``%s`` row template with
+    it in one ``%`` operation.  The times are ``np.arange(lo, hi) * dt``,
+    bit-identical to ``time_grid``'s ``j * dt``.
     """
     count = grid_size(t_max, dt)
     check_precision(precision)
@@ -472,9 +500,9 @@ def trace_csv_chunks(
     per_block = max(1, _TRACE_BLOCK_ROWS // k)
 
     def chunks():
-        import numpy as np
-
         yield header
+        import numpy as np  # after the header: it leaves before numpy loads
+
         for lo in range(0, count, per_block):
             t = np.arange(lo, min(lo + per_block, count)) * dt
             p = _format_distinct(kernel(t), precision)

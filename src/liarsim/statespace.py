@@ -67,7 +67,7 @@ from .config import (
     parse_json_fields,
 )
 from .errors import OutOfRange
-from .inference import reasoning_cycle
+from .inference import ReasoningCycle, reasoning_cycle
 
 TensorIndex = tuple[int, ...]
 EmbeddedIndex = int
@@ -126,14 +126,13 @@ def canonical_entry_cycle(m: int) -> tuple[int, ...]:
     )
 
 
-def _cycle_frame(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    """The entry cycle C and the true step t_i of every sentence, as int32
-    arrays (entries and steps are at most 2m)."""
-    walk = reasoning_cycle(config)
-    t_true = [walk.step_of(i, True) for i in range(1, config.m + 1)]
-    cycle = canonical_entry_cycle(config.m)
-    import numpy as np  # after the checks: a rejected configuration never loads numpy
+def _cycle_frame(walk: ReasoningCycle) -> tuple[np.ndarray, np.ndarray]:
+    """The entry cycle C and the true step t_i of every sentence of the
+    walk, as int32 arrays (entries and steps are at most 2m)."""
+    import numpy as np
 
+    t_true = [walk.step_of(i, True) for i in range(1, walk.m + 1)]
+    cycle = canonical_entry_cycle(walk.m)
     return np.asarray(cycle, dtype=np.int32), np.asarray(t_true, dtype=np.int32)
 
 
@@ -152,7 +151,9 @@ def cycle_states(config: Configuration) -> tuple[TensorIndex, ...]:
     State t gives sentence i the entry C[(t - t_i) mod 2m], where t_i is
     the step hypothesizing sentence i true.
     """
-    rows = _rows(*_cycle_frame(config), range(1, 2 * config.m + 1))
+    # the walk rejects a configuration that is not paradoxical before the
+    # frame loads numpy
+    rows = _rows(*_cycle_frame(reasoning_cycle(config)), range(1, 2 * config.m + 1))
     return tuple(map(tuple, rows.tolist()))
 
 
@@ -225,42 +226,43 @@ def initial_state_terms(config: Configuration) -> Iterator[tuple[np.ndarray, str
     rows at once.  Each row is its own int32 array of entries, each rank the
     decimal digits of its ``kappa``.
 
-    Eager, on the call: the reasoning walk (which rejects a configuration
-    that is not paradoxical), the successor table ``succ`` over the entries
-    0..2m with its ``jump = succ - v + 1``, the weights n^(m-i), and the
-    first row with its rank through ``kappa``.  So every check runs before
-    anything is written.  Lazy, per term: the step recurrence in the module
-    docstring, ``row = succ[row]``, with the rank moved by the sum of all
-    weights and by ``jump[row[i]] * w_i`` at the (at most three) sentences
-    where ``jump[row]`` is nonzero, in a private exact ``decimal`` context
-    (the caller's context is untouched).  Working memory is O(m) besides the
-    weights, about m^2 log10(2m) / 2 digits in all.
+    Eager, on the call, and with no numpy: the reasoning walk, which
+    rejects a configuration that is not paradoxical.  So every check runs
+    before anything is written.  Lazy, at the first term: the frame of
+    ``_cycle_frame``, the successor table ``succ`` over the entries 0..2m
+    with its ``jump = succ - v + 1``, the weights n^(m-i), and the first row
+    with its rank through ``kappa``.  Lazy, per later term: the step
+    recurrence in the module docstring, ``row = succ[row]``, with the rank
+    moved by the sum of all weights and by ``jump[row[i]] * w_i`` at the (at
+    most three) sentences where ``jump[row]`` is nonzero, in a private exact
+    ``decimal`` context (the caller's context is untouched).  Working memory
+    is O(m) besides the weights, about m^2 log10(2m) / 2 digits in all.
     """
     m = config.m
     n = 2 * m
-    cycle, t_true = _cycle_frame(config)
-    import numpy as np
-
-    # entry 0 is never in a row: its successor and jump are unused
-    succ = np.zeros(n + 1, dtype=cycle.dtype)
-    succ[cycle] = np.roll(cycle, -1)
-    jump = succ - np.arange(n + 1, dtype=cycle.dtype) + 1
-    # n^m has at most m * digits(n) digits: exact, or an exception
-    ctx = decimal.Context(
-        prec=m * len(str(n)) + 2, traps=[decimal.Inexact, decimal.Rounded]
-    )
-    weights = [decimal.Decimal(1)]
-    total = weights[0]
-    for _ in range(m - 1):
-        weights.append(ctx.multiply(weights[-1], n))
-        total = ctx.add(total, weights[-1])
-    weights.reverse()
-    step = ctx.minus(total)
-    first = _rows(cycle, t_true, 1)
-    rank = decimal.Decimal(kappa(tuple(first.tolist())))
+    walk = reasoning_cycle(config)
 
     def terms() -> Iterator[tuple[np.ndarray, str]]:
-        row, r = first, rank
+        import numpy as np
+
+        cycle, t_true = _cycle_frame(walk)
+        # entry 0 is never in a row: its successor and jump are unused
+        succ = np.zeros(n + 1, dtype=cycle.dtype)
+        succ[cycle] = np.roll(cycle, -1)
+        jump = succ - np.arange(n + 1, dtype=cycle.dtype) + 1
+        # n^m has at most m * digits(n) digits: exact, or an exception
+        ctx = decimal.Context(
+            prec=m * len(str(n)) + 2, traps=[decimal.Inexact, decimal.Rounded]
+        )
+        weights = [decimal.Decimal(1)]
+        total = weights[0]
+        for _ in range(m - 1):
+            weights.append(ctx.multiply(weights[-1], n))
+            total = ctx.add(total, weights[-1])
+        weights.reverse()
+        step = ctx.minus(total)
+        row = _rows(cycle, t_true, 1)
+        r = decimal.Decimal(kappa(tuple(row.tolist())))
         yield row, str(r)
         for _ in range(1, n):
             r = ctx.add(r, step)
@@ -279,21 +281,20 @@ def state_json_chunks(
     as chunks: the head up to ``"terms": [``, one chunk per term in cycle
     order, then the close.  No trailing newline.
 
-    Every check runs on the call, through ``initial_state_terms``; the terms
-    are made as the chunks are consumed.  The head, the shared amplitude
-    1/sqrt(2m) and the 2m + 1 entry lines ``",\n        <v>"`` are formatted
-    once.  The entry lines sit in a fixed-width bytes table, so a tuple
-    listing is one gather from it (``tobytes``, NUL padding removed, leading
-    comma dropped), and each term fills one ``%`` template.
+    Every check runs on the call, through ``initial_state_terms``, and
+    loads no numpy; the terms are made as the chunks are consumed.  The
+    head, the shared amplitude 1/sqrt(2m) and the 2m + 1 entry lines
+    ``",\n        <v>"`` are formatted once, the entry lines after the head
+    is yielded, so the head can be written before numpy loads.  The entry
+    lines sit in a fixed-width bytes table, so a tuple listing is one gather
+    from it (``tobytes``, NUL padding removed, leading comma dropped), and
+    each term fills one ``%`` template.
     """
     terms = initial_state_terms(config)
-    import numpy as np
-
     n = 2 * config.m
     head, tail = json.dumps(
         {**(extra or {}), "m": config.m, "n": n, "terms": []}, indent=2
     ).split('\n  "terms": []')
-    entry = np.array([f",\n        {v}".encode() for v in range(n + 1)])
     term = (
         '    {\n      "tuple": [%s\n      ],\n      "embedded": "%s",'
         f'\n      "re": {json.dumps(_uniform_amplitude(n))},\n      "im": 0.0\n    }}'
@@ -301,6 +302,9 @@ def state_json_chunks(
 
     def chunks() -> Iterator[str]:
         yield head + '\n  "terms": ['
+        import numpy as np  # after the head: it leaves before numpy loads
+
+        entry = np.array([f",\n        {v}".encode() for v in range(n + 1)])
         sep = "\n"
         for row, rank in terms:
             listing = np.take(entry, row).tobytes().replace(b"\0", b"")[1:].decode()

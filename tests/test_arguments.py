@@ -138,11 +138,15 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 # are not one-dimensional real numbers ([[0.5]] gave no rows, [[0.5, 1.0]]
 # an IndexError, "x" a ValueError, 0.5j a TypeError, "0.5" and True a row,
 # and an integer past the float range an OverflowError), then integer grid
-# bounds and time scales past the float range (an OverflowError each).
+# bounds and time scales past the float range (an OverflowError each), then
+# a start hypothesis that is not a pair (5 a TypeError, "1:T" a ValueError
+# from unpacking it) and grid bounds and time scales that are not real
+# numbers (a str a TypeError, True taken as 1).
 TIMES = "times must be a one-dimensional sequence of real numbers"
 HUGE_TIME = "evolution time must be finite, got one too large for a float"
 HUGE_GRID = "t_max and dt must be finite, got one too large for a float"
 HUGE_SCALE = "time scale must be finite, got one too large for a float"
+PAIR = "initial measurement must be a (sentence, truth value) pair, got "
 
 
 @pytest.mark.parametrize(
@@ -199,6 +203,26 @@ HUGE_SCALE = "time scale must be finite, got one too large for a float"
             lambda: trace_csv_chunks(one_liar(), (1, True), 1.0, 0.5, time_scale=10**400),
             (),
             HUGE_SCALE,
+        ),
+        (probability_trace, (eight_liar(), 5, [0]), PAIR + "5"),
+        (trace_csv_chunks, (eight_liar(), "1:T", 1, 0.5), PAIR + "'1:T'"),
+        (trace_csv_chunks, (eight_liar(), (1, True, 2), 1, 0.5), PAIR + "(1, True, 2)"),
+        (grid_size, ("1", 0.5), "t_max and dt must be real numbers, got t_max='1', dt=0.5"),
+        (time_grid, (1.0, True), "t_max and dt must be real numbers, got t_max=1.0, dt=True"),
+        (
+            trace_csv_chunks,
+            (one_liar(), (1, True), 1.0, "0.5"),
+            "t_max and dt must be real numbers, got t_max=1.0, dt='0.5'",
+        ),
+        (
+            lambda: trace_csv_chunks(eight_liar(), (1, True), 1, 0.5, time_scale="1"),
+            (),
+            "time scale must be a real number, got '1'",
+        ),
+        (
+            lambda: probability_trace(one_liar(), (1, True), [1], time_scale=True),
+            (),
+            "time scale must be a real number, got True",
         ),
     ],
 )

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import liarsim.evolution as evolution
+import liarsim.statespace as statespace
 import liarsim.verify as verify_mod
 from liarsim import (
     Configuration,
@@ -1149,35 +1152,68 @@ def test_verify_writes_each_line_as_its_check_ends(monkeypatch):
     ]
 
 
-# Runs liarsim.cli.main(["verify", ...]) with a stdout that records, at its
-# first write, whether numpy is loaded, then prints the exit code and that
-# record.
-_FIRST_WRITE_PROBE = """\
+# Runs liarsim.cli.main on its arguments with a stdout that records, at its
+# first flush after a write, whether numpy is loaded, then prints the exit
+# code and that record.  A head held in a buffer until numpy has loaded
+# reads True, and one never flushed reads None.
+_FIRST_FLUSH_PROBE = """\
 import sys
 from liarsim.cli import main
 
-class FirstWrite:
+class FirstFlush:
+    written = False
     numpy_loaded = None
 
     def write(self, text):
-        if self.numpy_loaded is None:
-            self.numpy_loaded = "numpy" in sys.modules
+        self.written = self.written or bool(text)
         return len(text)
 
-    def flush(self):
-        pass
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
 
-out = sys.stdout = FirstWrite()
-code = main(["verify", "--m-max", "8"])
+    def flush(self):
+        if self.written and self.numpy_loaded is None:
+            self.numpy_loaded = "numpy" in sys.modules
+
+out = sys.stdout = FirstFlush()
+code = main(sys.argv[1:])
 sys.stdout = sys.__stdout__
 print(code, out.numpy_loaded)
 """
 
 
-def test_verify_writes_its_first_line_before_numpy_loads():
-    # counting and cycle-closure compute without numpy
+def _random_config_file(tmp_path, m, seed):
+    """A JSON file holding a random single m-cycle with an odd number of
+    negations."""
+    rng = random.Random(seed)
+    order = [1] + rng.sample(range(2, m + 1), m - 1)
+    referent = [0] * m
+    for sentence, target in zip(order, order[1:] + order[:1]):
+        referent[sentence - 1] = target
+    negating = [rng.random() < 0.5 for _ in range(m)]
+    negating[0] ^= sum(negating) % 2 == 0
+    path = tmp_path / f"random{m}.json"
+    path.write_text(config_to_json(Configuration(m, tuple(referent), tuple(negating))))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m-max", "8"],
+        ["trace", "--config", "eight-liar", "--t-max", "1"],
+        ["trace", "--config", "RANDOM512", "--t-max", "8", "--dt", "0.25"],
+        ["state", "--config", "simple:8"],
+    ],
+    ids=["verify", "trace", "trace-random512", "state"],
+)
+def test_first_output_is_flushed_before_numpy_loads(argv, tmp_path):
+    # verify's counting and cycle-closure compute without numpy; trace and
+    # state check everything, then write their head, before numpy loads
+    argv = [_random_config_file(tmp_path, 512, 7) if a == "RANDOM512" else a for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", _FIRST_WRITE_PROBE],
+        [sys.executable, "-c", _FIRST_FLUSH_PROBE, *argv],
         capture_output=True,
         text=True,
         env=_cli_env(),
@@ -1185,6 +1221,24 @@ def test_verify_writes_its_first_line_before_numpy_loads():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["state", "--config", "simple:8"], ["trace", "--config", "eight-liar", "--t-max", "1"]],
+    ids=["state", "trace"],
+)
+def test_the_reasoning_walk_runs_once_per_command(argv, monkeypatch, capsys):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return reasoning_cycle(config)
+
+    for module in (statespace, evolution):
+        monkeypatch.setattr(module, "reasoning_cycle", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_verify_reader_closing_the_pipe_early_is_not_an_error():
