@@ -13,11 +13,15 @@ circulant, so ``propagate`` applies its first column as a circular
 convolution, and after the start hypothesis is collapsed every trace
 probability is the closed-form Fejer kernel of tau minus the target's
 displacement (see ``_trace_kernel``, whose kernel both
-``probability_trace`` and ``trace_csv_chunks`` apply).  Integer times take
-the exact permutation route.  The kernel, ``propagate`` and ``propagator``
-all split tau = w + f exactly, with w = round(tau), and apply
-U_D^(w mod 2m) U(f), so the eigenphases multiply only the fraction and a
-large tau keeps its bits.  The dense spectral frame (``fourier_frame``,
+``probability_trace`` and ``trace_csv_chunks`` apply).  Because
+U(tau + 2m) = U(tau), the rows at tau depend on it only through its time
+class, the bits of tau - round(tau) and round(tau) mod 2m, and
+``trace_csv_chunks`` computes and formats each class of a block once when
+the block repeats its classes (a long grid on a small cycle).  Integer
+times take the exact permutation route.  The kernel, ``propagate`` and
+``propagator`` all split tau = w + f exactly, with w = round(tau), and
+apply U_D^(w mod 2m) U(f), so the eigenphases multiply only the fraction
+and a large tau keeps its bits.  The dense spectral frame (``fourier_frame``,
 ``propagator``, ``hamiltonian``) is built only on demand and is kept as the
 verification oracle for small m.
 
@@ -309,6 +313,10 @@ def _trace_kernel(
         time_scale = float(time_scale)
     except OverflowError:
         raise _too_large("time scale") from None
+    if not isinstance(renormalize, bool):
+        raise OutOfRange(
+            f"renormalize must be True or False, got {reprlib.repr(renormalize)}"
+        )
     walk = reasoning_cycle(config)
     origin = walk.step_of(start_sentence, start_value)
     trace_row_count(count, len(sentences))
@@ -414,10 +422,19 @@ def check_precision(precision: int, what: str = "precision") -> int:
 
 
 def _csv_header(header_lines: Iterable[str]) -> str:
-    """The comment lines and the column line of a trace CSV.  A line break
-    inside a header line would start a line that is not a comment."""
+    """The comment lines and the column line of a trace CSV.  The lines are
+    a sequence of ``str``, not one ``str``, which would give a line per
+    character.  A line break inside a header line would start a line that
+    is not a comment."""
+    if isinstance(header_lines, str):
+        raise OutOfRange(
+            "trace header lines must be a sequence of str,"
+            f" got the str {reprlib.repr(header_lines)}"
+        )
     lines = list(header_lines)
     for line in lines:
+        if not isinstance(line, str):
+            raise OutOfRange(f"trace header line must be a str, got {reprlib.repr(line)}")
         if "\n" in line or "\r" in line:
             raise OutOfRange(f"trace header line {line!r} holds a line break")
     return "".join(f"# {line}\n" for line in lines) + "t,sentence,p_true,p_false\n"
@@ -475,13 +492,30 @@ def trace_csv_chunks(
     Every check, the row cap included, runs on the call and loads no numpy
     (see ``_trace_kernel``).  The chunks are computed as they are consumed:
     the header first, so it can be written before numpy loads, then the
-    blocks, the first of which loads numpy and calls the kernel.  Each block
-    formats its times and its probabilities with ``_format_distinct``, so a
-    time is formatted once for all its sentences and a probability once per
-    distinct value, packs the strings of (t, p_true, p_false) into one
-    (times, sentences, 3) object array and fills a ``%s`` row template with
-    it in one ``%`` operation.  The times are ``np.arange(lo, hi) * dt``,
-    bit-identical to ``time_grid``'s ``j * dt``.
+    blocks, the first of which loads numpy and calls the kernel.  The times
+    are ``np.arange(lo, hi) * dt``, bit-identical to ``time_grid``'s
+    ``j * dt``, and each is formatted once for all its sentences.
+
+    Time classes: U(tau + 2m) = U(tau), and ``_cycle_kernel`` sees
+    tau = t / time_scale only through the bits of frac = tau - round(tau)
+    and round(tau) mod 2m, so times that agree in both have the same rows
+    after the time.  Each block numbers its classes with two ``np.unique``
+    calls, one over the fraction bits and one over
+    (fraction id * 2m + round(tau) mod 2m), and picks its route from the
+    count:
+
+    - More than half as many classes as times (a grid that does not repeat
+      within the block): the kernel fills the whole block, each distinct
+      probability is formatted once with ``_format_distinct``, and the
+      strings of (t, p_true, p_false) fill a ``%s`` row template in one
+      ``%`` operation.
+    - At most half: the kernel and ``_format_distinct`` run on one time of
+      each class that the previous block did not hold, each class's k row
+      tails ``",i,p_true,p_false\n"`` are built once, and a time t is
+      written as ``t.join(("", *tails))``.  Every time of a class runs the
+      same float operations, so the bytes are those of the fill.  Only the
+      last block's tails are kept, so they never outnumber one block's
+      times.
     """
     count = grid_size(t_max, dt)
     check_precision(precision)
@@ -496,20 +530,58 @@ def trace_csv_chunks(
     )
     header = _csv_header(header_lines)
     row = "".join(f"%s,{i},%s,%s\n" for i in sentences)
+    tails = [f",{i},%s,%s\n" for i in sentences]
     k = len(sentences)
     per_block = max(1, _TRACE_BLOCK_ROWS // k)
+    size = 2 * config.m
+    scale = float(time_scale)  # accepted by _trace_kernel, so it converts
 
     def chunks():
         yield header
         import numpy as np  # after the header: it leaves before numpy loads
 
+        def time_classes(t):
+            """The class keys (fraction bits, round(tau) mod size) of a block
+            of times, the index of each class's first time and the class of
+            each time; None when there are more than half as many classes
+            as times."""
+            tau = t / scale
+            whole = np.round(tau)
+            bits, frac_id = np.unique((tau - whole).view(np.uint64), return_inverse=True)
+            if 2 * len(bits) > len(t):
+                return None
+            # the shape of an inverse differs between numpy versions
+            ids, first, of_time = np.unique(
+                frac_id.reshape(-1) * size + np.mod(whole, size).astype(np.int64),
+                return_index=True,
+                return_inverse=True,
+            )
+            if 2 * len(ids) > len(t):
+                return None
+            keys = list(zip(bits[ids // size].tolist(), (ids % size).tolist()))
+            return keys, first, of_time.reshape(-1).tolist()
+
+        kept = {}  # class key -> ("", *row tails), for the last block's classes
         for lo in range(0, count, per_block):
             t = np.arange(lo, min(lo + per_block, count)) * dt
-            p = _format_distinct(kernel(t), precision)
-            cells = np.empty((len(t), k, 3), dtype=object)
-            cells[:, :, 0] = _format_distinct(t, precision)[:, None]
-            cells[:, :, 1] = p[:, :k]
-            cells[:, :, 2] = p[:, k:]
-            yield (row * len(t)) % tuple(cells.ravel().tolist())
+            t_text = _format_distinct(t, precision)
+            classes = time_classes(t)
+            if classes is None:
+                p = _format_distinct(kernel(t), precision)
+                cells = np.empty((len(t), k, 3), dtype=object)
+                cells[:, :, 0] = t_text[:, None]
+                cells[:, :, 1] = p[:, :k]
+                cells[:, :, 2] = p[:, k:]
+                yield (row * len(t)) % tuple(cells.ravel().tolist())
+                continue
+            keys, first, of_time = classes
+            texts = list(map(kept.get, keys))
+            new = [c for c, text in enumerate(texts) if text is None]
+            if new:
+                p = _format_distinct(kernel(t[first[new]]), precision)
+                for c, p_true, p_false in zip(new, p[:, :k].tolist(), p[:, k:].tolist()):
+                    texts[c] = ("", *map(str.__mod__, tails, zip(p_true, p_false)))
+            kept = dict(zip(keys, texts))
+            yield "".join(map(str.join, t_text.tolist(), map(texts.__getitem__, of_time)))
 
     return chunks()

@@ -64,16 +64,18 @@ CALLS = {
     "step_of": (WALK.step_of, (1, True), "ib"),
     "infer_next": (lambda s, v: infer_next(eight_liar(), s, v), (1, True), "ib"),
     "probability_trace": (
-        lambda s, v, a, b: probability_trace(eight_liar(), (s, v), [0.5], sentences=[a, b]),
-        (1, True, 1, 2),
-        "ibii",
+        lambda s, v, a, b, r: probability_trace(
+            eight_liar(), (s, v), [0.5], sentences=[a, b], renormalize=r
+        ),
+        (1, True, 1, 2, True),
+        "ibiib",
     ),
     "trace_csv_chunks": (
-        lambda s, v, a, p: trace_csv_chunks(
-            eight_liar(), (s, v), 0.5, 0.5, sentences=[a], precision=p
+        lambda s, v, a, p, r: trace_csv_chunks(
+            eight_liar(), (s, v), 0.5, 0.5, sentences=[a], precision=p, renormalize=r
         ),
-        (1, True, 1, 12),
-        "ibii",
+        (1, True, 1, 12, False),
+        "ibiib",
     ),
     "hypothesis_at": (WALK.hypothesis_at, (1,), "i"),
     "trace_to_csv": (
@@ -141,12 +143,15 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 # bounds and time scales past the float range (an OverflowError each), then
 # a start hypothesis that is not a pair (5 a TypeError, "1:T" a ValueError
 # from unpacking it) and grid bounds and time scales that are not real
-# numbers (a str a TypeError, True taken as 1).
+# numbers (a str a TypeError, True taken as 1), then a renormalize flag that
+# is not a bool (taken by its truth) and header lines that are one str (a
+# comment line per character) or hold a line that is not a str.
 TIMES = "times must be a one-dimensional sequence of real numbers"
 HUGE_TIME = "evolution time must be finite, got one too large for a float"
 HUGE_GRID = "t_max and dt must be finite, got one too large for a float"
 HUGE_SCALE = "time scale must be finite, got one too large for a float"
 PAIR = "initial measurement must be a (sentence, truth value) pair, got "
+HEADER_STR = "trace header lines must be a sequence of str, got the str 'ab'"
 
 
 @pytest.mark.parametrize(
@@ -224,6 +229,30 @@ PAIR = "initial measurement must be a (sentence, truth value) pair, got "
             (),
             "time scale must be a real number, got True",
         ),
+        (
+            lambda: probability_trace(
+                eight_liar(), (1, True), [0.5], sentences=[1], renormalize="no"
+            ),
+            (),
+            "renormalize must be True or False, got 'no'",
+        ),
+        (
+            lambda: trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, renormalize=1),
+            (),
+            "renormalize must be True or False, got 1",
+        ),
+        (
+            lambda: trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, header_lines="ab"),
+            (),
+            HEADER_STR,
+        ),
+        (trace_to_csv, ((), "ab"), HEADER_STR),
+        (
+            lambda: trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, header_lines=["a", 1]),
+            (),
+            "trace header line must be a str, got 1",
+        ),
+        (trace_to_csv, ((), [b"a"]), "trace header line must be a str, got b'a'"),
     ],
 )
 def test_found_misuse_is_a_one_line_out_of_range(call, args, message):

@@ -36,7 +36,7 @@ from liarsim.cli import (
     resolve_config,
 )
 from liarsim.config import MAX_SENTENCES, config_to_json, simple_liar
-from liarsim.evolution import _TRACE_BLOCK_ROWS, MAX_TRACE_ROWS, grid_size
+from liarsim.evolution import _TRACE_BLOCK_ROWS, MAX_TRACE_ROWS, grid_size, trace_csv_chunks
 from liarsim.statespace import (
     canonical_entry_cycle,
     initial_state_terms,
@@ -209,8 +209,8 @@ def test_state_output_matches_reference_document(spec, capsys):
 
 
 @st.composite
-def paradoxical_configs(draw):
-    m = draw(st.integers(1, 12))
+def paradoxical_configs(draw, max_m=12):
+    m = draw(st.integers(1, max_m))
     order = [1] + draw(st.permutations(range(2, m + 1)))
     referent = [0] * m
     for sentence, target in zip(order, order[1:] + order[:1]):
@@ -1003,6 +1003,43 @@ def test_wide_trace_output_matches_reference_across_blocks():
                        dt=0.1, scale="pi/2", precision=17)
 
 
+def _time_class(t, size):
+    """The class of time t on the size-cycle at time scale 1: the fraction
+    t - round(t) and round(t) mod size, as ``_cycle_kernel`` splits it."""
+    whole = round(t)
+    return t - whole, whole % size
+
+
+@pytest.mark.parametrize("precision", [1, 17])
+def test_long_trace_output_matches_reference_through_time_classes(precision):
+    # five blocks of 1,024 times of the eight sentences at dt = 0.05: the
+    # first block's times hold more than 512 classes, so the kernel fills it;
+    # each later block holds at most 512, so the kernel runs once per class
+    # that the block before it did not hold, and not at all in the fifth
+    count, dt = 5 * 1024, 0.05
+    t_max = (count - 1) * dt
+    blocks = [
+        {_time_class(j * dt, 16) for j in range(lo, lo + 1024)} for lo in range(0, count, 1024)
+    ]
+    assert len(blocks[0]) > 512 and all(len(b) <= 512 for b in blocks[1:])
+    new = [len(blocks[1])] + [len(b - a) for a, b in zip(blocks[1:], blocks[2:])]
+    assert new[1] < len(blocks[2]) and new[-1] == 0
+    calls = []
+    kernel = evolution._cycle_kernel
+
+    def counted(tau, d, size):
+        calls.append(len(tau))
+        return kernel(tau, d, size)
+
+    argv = ["trace", "--config", "eight-liar", "--start", "3:F", "--t-max", repr(t_max)]
+    with mock.patch.object(evolution, "_cycle_kernel", counted):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert calls == [1024] + new[:-1]
+    _check_trace_bytes("eight-liar", start=(3, False), t_max=t_max, dt=dt,
+                       precision=precision)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     paradoxical_configs(),
@@ -1023,6 +1060,37 @@ def test_trace_output_matches_reference_on_random_configs(
     )
     _check_trace_bytes(config_to_json(config), start=start, t_max=t_max, dt=dt,
                        scale=scale, raw=raw, sentences=sentences, precision=precision)
+
+
+@settings(max_examples=40, deadline=None)
+@given(paradoxical_configs(max_m=512), st.data())
+def test_trace_bytes_repeat_with_the_period_and_swap_at_the_half_period(config, data):
+    # U(tau + 2m) = U(tau), so at a dyadic dt every probability's bytes at
+    # tau and at tau + 2m are equal.  That alone also holds for a kernel
+    # periodic in m, so at tau + m each sentence's p_true and p_false trade
+    # places too: m steps along the walk flip every truth value.  Bitwise
+    # only off the half-integers, where an odd m moves round(tau) to the
+    # other side and the fraction changes sign.
+    m = config.m
+    dt = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.125]))
+    periods = data.draw(st.integers(1, 3))
+    t_max = 2 * m * periods + data.draw(st.integers(0, 8)) * dt
+    start = (data.draw(st.integers(1, m)), data.draw(st.booleans()))
+    sentences = data.draw(st.lists(st.integers(1, m), min_size=1, max_size=3))
+    raw = data.draw(st.booleans())
+    text = "".join(
+        trace_csv_chunks(config, start, t_max, dt, sentences=sentences,
+                         renormalize=not raw, precision=17)
+    )
+    k = len(set(sentences))
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(rows) == k * grid_size(t_max, dt)
+    cells = [row[2:] for row in rows]
+    period, half = k * round(2 * m / dt), k * round(m / dt)
+    assert cells[:-period] == cells[period:]
+    for row, later in zip(rows, cells[half:]):
+        if float(row[0]) % 1 != 0.5:
+            assert row[2:] == later[::-1], row
 
 
 # Edge values for the argv fuzzer.  Every grid they can form is under 10^4

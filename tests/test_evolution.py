@@ -1,9 +1,11 @@
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import liarsim.evolution as evolution
 from liarsim import (
     OutOfRange,
     SparseState,
@@ -408,6 +410,24 @@ def test_trace_csv_chunks_validate_on_the_call():
     assert len(chunks) == 1 + 3  # header, then 3001 times in blocks of 1024
     rows = probability_trace(eight_liar(), (1, True), time_grid(300.0, 0.1))
     assert "".join(chunks) == trace_to_csv(rows, header_lines=("x",))
+
+
+def test_a_long_trace_evaluates_the_kernel_once_per_new_time_class():
+    # 100 periods of the eight-liar at dt = 0.05: 32,001 times, but the
+    # rows after a time depend only on its time class, and a block repeats
+    # the classes of the block before it
+    count = grid_size(1600.0, 0.05)
+    evaluated = []
+    kernel = evolution._cycle_kernel
+
+    def counted(tau, d, size):
+        evaluated.append(len(tau))
+        return kernel(tau, d, size)
+
+    with mock.patch.object(evolution, "_cycle_kernel", counted):
+        text = "".join(trace_csv_chunks(eight_liar(), (3, False), 1600.0, 0.05))
+    assert text.count("\n") == 1 + 8 * count
+    assert sum(evaluated) <= count / 10
 
 
 @pytest.mark.parametrize("line", ["a\nb", "a\rb", "a\r\nb"], ids=["lf", "cr", "crlf"])
