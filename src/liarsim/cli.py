@@ -315,7 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=(1, True),
         help="initial measurement <sentence>:<T|F> (default 1:T)",
     )
-    p.add_argument("--t-max", type=float, help="last time (default two full cycles)")
+    p.add_argument(
+        "--t-max",
+        type=float,
+        help="last time (default two full cycles, 4m x time scale; at time scale 1"
+        " and the default --dt, a trace of all sentences exceeds MAX_TRACE_ROWS"
+        " from m = 3536 up)",
+    )
     p.add_argument("--dt", type=float, default=0.05, help="time step (default 0.05)")
     p.add_argument(
         "--time-scale",

@@ -15,13 +15,16 @@ probability is the closed-form Fejer kernel of tau minus the target's
 displacement (see ``_trace_kernel``, whose kernel both
 ``probability_trace`` and ``trace_csv_chunks`` apply).  Because
 U(tau + 2m) = U(tau), the rows at tau depend on it only through its time
-class, the bits of tau - round(tau) and round(tau) mod 2m, and
-``trace_csv_chunks`` computes and formats each class of a block once when
-the block repeats its classes (a long grid on a small cycle).  Integer
-times take the exact permutation route.  The kernel, ``propagate`` and
-``propagator`` all split tau = w + f exactly, with w = round(tau), and
-apply U_D^(w mod 2m) U(f), so the eigenphases multiply only the fraction
-and a large tau keeps its bits.  The dense spectral frame (``fourier_frame``,
+class (``_time_class``): the value of tau - round(tau) together with
+round(tau) mod 2m.  ``trace_csv_chunks`` numbers the classes of a block
+with one sort, and computes and formats each class once when the block
+repeats its classes (a long grid on a small cycle).  Integer times take
+the exact permutation route.  The kernel, ``propagate`` and ``propagator``
+all split tau = w + f exactly, with w = round(tau), and apply
+U_D^(w mod 2m) U(f), so the eigenphases multiply only the fraction and a
+large tau keeps its bits.  The two oracle routes keep their own split on
+purpose: ``verify`` checks the kernel against them, so they share no code
+with it.  The dense spectral frame (``fourier_frame``,
 ``propagator``, ``hamiltonian``) is built only on demand and is kept as the
 verification oracle for small m.
 
@@ -205,25 +208,38 @@ def apply_steps(ev: SubspaceEvolution, state: SparseState, count: int = 1) -> Sp
     return SparseState(state.m, moved)
 
 
+def _time_class(tau: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The time class of every tau on the size-cycle: frac = tau - round(tau),
+    with |frac| <= 1/2, and round(tau) mod size, both exact floats.
+
+    U(tau) = U_D^(round(tau) mod size) U(frac), so ``_cycle_kernel`` reads
+    tau only through these two numbers, and ``trace_csv_chunks`` numbers the
+    classes of a block with them.
+    """
+    import numpy as np
+
+    whole = np.round(tau)
+    return tau - whole, np.mod(whole, size)
+
+
 def _cycle_kernel(tau: np.ndarray, d: np.ndarray, size: int) -> np.ndarray:
     """|U(tau)[d, 0]|^2 on the size-cycle for every tau (rows) and
     displacement d (columns): the Fejer kernel of x = tau - d off the
     integers, and the exact indicator of x mod size == 0 on them.
 
-    Within 1e-300 of an integer the indicator is taken too: there the kernel
-    equals its integer limit in double precision, while pi * frac loses bits
-    as it nears the subnormal range and the closed form drifts (1.0004 at
-    frac = 3e-320 on 16 positions).
+    tau is read only through its ``_time_class``, so every tau of a class
+    gives the same row.  Within 1e-300 of an integer the indicator is taken
+    too: there the kernel equals its integer limit in double precision,
+    while pi * frac loses bits as it nears the subnormal range and the
+    closed form drifts (1.0004 at frac = 3e-320 on 16 positions).
     """
     import numpy as np
 
-    # Reduce x exactly before any multiplication by pi: tau = whole + frac
-    # with |frac| <= 1/2 (both exact), and the whole steps of x are reduced
-    # mod size into [-size/2, size/2) in integer arithmetic.
+    # Reduce x exactly before any multiplication by pi: the whole steps of x
+    # are reduced mod size into [-size/2, size/2) in integer arithmetic.
     half = size // 2
-    whole = np.round(tau)
-    frac = tau - whole
-    steps = np.mod(np.mod(whole, size)[:, None] - d + half, size) - half
+    frac, shift = _time_class(tau, size)
+    steps = np.mod(shift[:, None] - d + half, size) - half
     p = (steps == 0).astype(float)
     off = np.abs(frac) >= 1e-300
     y = frac[off, None] + steps[off]
@@ -496,13 +512,15 @@ def trace_csv_chunks(
     are ``np.arange(lo, hi) * dt``, bit-identical to ``time_grid``'s
     ``j * dt``, and each is formatted once for all its sentences.
 
-    Time classes: U(tau + 2m) = U(tau), and ``_cycle_kernel`` sees
-    tau = t / time_scale only through the bits of frac = tau - round(tau)
-    and round(tau) mod 2m, so times that agree in both have the same rows
-    after the time.  Each block numbers its classes with two ``np.unique``
-    calls, one over the fraction bits and one over
-    (fraction id * 2m + round(tau) mod 2m), and picks its route from the
-    count:
+    Time classes: U(tau + 2m) = U(tau), and ``_cycle_kernel`` reads
+    tau = t / time_scale only through its ``_time_class``, the value of
+    frac = tau - round(tau) together with round(tau) mod 2m, so the times of
+    a class have the same rows after the time.  Each block numbers its
+    classes with one sort, ``np.unique`` of frac + 1j * (round(tau) mod 2m).
+    Equal complex keys are exactly "the kernel reads the same two numbers":
+    they merge only the fractions +0.0 and -0.0, which both take the exact
+    integer route, and -0.0 does not arise, since t >= 0 on the grid and so
+    frac is +0.0 at the integers.  The block picks its route from the count:
 
     - More than half as many classes as times (a grid that does not repeat
       within the block): the kernel fills the whole block, each distinct
@@ -510,12 +528,12 @@ def trace_csv_chunks(
       strings of (t, p_true, p_false) fill a ``%s`` row template in one
       ``%`` operation.
     - At most half: the kernel and ``_format_distinct`` run on one time of
-      each class that the previous block did not hold, each class's k row
-      tails ``",i,p_true,p_false\n"`` are built once, and a time t is
-      written as ``t.join(("", *tails))``.  Every time of a class runs the
-      same float operations, so the bytes are those of the fill.  Only the
-      last block's tails are kept, so they never outnumber one block's
-      times.
+      each class that the last block of this route did not hold, each
+      class's k row tails ``",i,p_true,p_false\n"`` are built once, and a
+      time t is written as ``t.join(("", *tails))``.  Every time of a class
+      runs the same float operations, so the bytes are those of the fill.
+      Only that last block's tails are kept, so they never outnumber one
+      block's times.
     """
     count = grid_size(t_max, dt)
     check_precision(precision)
@@ -540,33 +558,16 @@ def trace_csv_chunks(
         yield header
         import numpy as np  # after the header: it leaves before numpy loads
 
-        def time_classes(t):
-            """The class keys (fraction bits, round(tau) mod size) of a block
-            of times, the index of each class's first time and the class of
-            each time; None when there are more than half as many classes
-            as times."""
-            tau = t / scale
-            whole = np.round(tau)
-            bits, frac_id = np.unique((tau - whole).view(np.uint64), return_inverse=True)
-            if 2 * len(bits) > len(t):
-                return None
-            # the shape of an inverse differs between numpy versions
-            ids, first, of_time = np.unique(
-                frac_id.reshape(-1) * size + np.mod(whole, size).astype(np.int64),
-                return_index=True,
-                return_inverse=True,
-            )
-            if 2 * len(ids) > len(t):
-                return None
-            keys = list(zip(bits[ids // size].tolist(), (ids % size).tolist()))
-            return keys, first, of_time.reshape(-1).tolist()
-
-        kept = {}  # class key -> ("", *row tails), for the last block's classes
+        kept = {}  # class key -> ("", *row tails), for the last class-route block
         for lo in range(0, count, per_block):
             t = np.arange(lo, min(lo + per_block, count)) * dt
             t_text = _format_distinct(t, precision)
-            classes = time_classes(t)
-            if classes is None:
+            frac, shift = _time_class(t / scale, size)
+            # the shape of the inverse differs between numpy versions
+            keys, first, of_time = np.unique(
+                frac + 1j * shift, return_index=True, return_inverse=True
+            )
+            if 2 * len(keys) > len(t):
                 p = _format_distinct(kernel(t), precision)
                 cells = np.empty((len(t), k, 3), dtype=object)
                 cells[:, :, 0] = t_text[:, None]
@@ -574,7 +575,7 @@ def trace_csv_chunks(
                 cells[:, :, 2] = p[:, k:]
                 yield (row * len(t)) % tuple(cells.ravel().tolist())
                 continue
-            keys, first, of_time = classes
+            keys, of_time = keys.tolist(), of_time.reshape(-1).tolist()
             texts = list(map(kept.get, keys))
             new = [c for c, text in enumerate(texts) if text is None]
             if new:

@@ -882,6 +882,20 @@ def test_trace_over_the_row_cap_is_rejected_before_any_work(capsys):
     ]
 
 
+def test_the_default_trace_grid_is_refused_from_3536_sentences(capsys):
+    # the default grid is two cycles, 4m steps, at dt = 0.05: 80m + 1 times
+    # of all m sentences, over MAX_TRACE_ROWS from m = 3,536 up
+    assert main(["trace", "--config", "simple:3536"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "liarsim: error: trace of 282881 times x 3536 sentences = 1000267216 rows"
+        " exceeds MAX_TRACE_ROWS = 1000000000"
+    ]
+    # one sentence fewer is accepted; the chunks are not consumed
+    trace_csv_chunks(simple_liar(3535), (1, True), 4 * 3535.0, 0.05)
+
+
 def _round_trip_text(x):
     """The manifest's text of a float: the fewest significant digits, from 12
     to 17, that read back as x."""
@@ -1038,6 +1052,66 @@ def test_long_trace_output_matches_reference_through_time_classes(precision):
     assert calls == [1024] + new[:-1]
     _check_trace_bytes("eight-liar", start=(3, False), t_max=t_max, dt=dt,
                        precision=precision)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    paradoxical_configs(),
+    st.data(),
+    st.sampled_from(list(SCALES)),
+    st.sampled_from([0.5, 0.25, 0.2]),
+    st.booleans(),
+    st.sampled_from([1, 17]),
+)
+def test_class_route_output_matches_reference_across_blocks(
+    config, data, scale, step, raw, precision
+):
+    # dt is step reasoning steps: dyadic at scale 1 with steps 0.5 and 0.25,
+    # inexact otherwise.  Blocks of six periods of the grid, so short that
+    # the reference stays fast, each hold more than twice as many times as
+    # classes somewhere in the first three blocks, whatever the rounding
+    # noise of an inexact dt (checked over every m up to 12).
+    m, size = config.m, 2 * config.m
+    dt = SCALES[scale] * step
+    per_block = 6 * round(size / step)
+    count = 3 * per_block + data.draw(st.integers(0, per_block))
+    t_max = (count - 1) * dt
+    assert grid_size(t_max, dt) == count
+    start = (data.draw(st.integers(1, m)), data.draw(st.booleans()))
+    sentences = data.draw(
+        st.none() | st.lists(st.integers(1, m), min_size=1, max_size=m + 1)
+    )
+    k = len(set(sentences or range(1, m + 1)))
+    # the kernel's calls by the reference split: a block with more than half
+    # as many classes as times is filled, and any other runs the kernel once
+    # per class that the last block of the class route did not hold
+    expected, kept = [], set()
+    for lo in range(0, count, per_block):
+        block = range(lo, min(lo + per_block, count))
+        classes = {_time_class(j * dt / SCALES[scale], size) for j in block}
+        if 2 * len(classes) > len(block):
+            expected.append(len(block))
+            continue
+        if classes - kept:
+            expected.append(len(classes - kept))
+        kept = classes
+    calls = []
+    kernel = evolution._cycle_kernel
+
+    def counted(tau, d, size):
+        calls.append(len(tau))
+        return kernel(tau, d, size)
+
+    with mock.patch.object(evolution, "_TRACE_BLOCK_ROWS", per_block * k):
+        with mock.patch.object(evolution, "_cycle_kernel", counted):
+            for _ in trace_csv_chunks(config, start, t_max, dt, sentences=sentences,
+                                      time_scale=SCALES[scale], renormalize=not raw):
+                pass
+        _check_trace_bytes(config_to_json(config), start=start, t_max=t_max, dt=dt,
+                           scale=scale, raw=raw, sentences=sentences, precision=precision)
+    assert calls == expected
+    # the kernel saw fewer times than the grid holds: a block took the class route
+    assert sum(calls) < count
 
 
 @settings(max_examples=40, deadline=None)
