@@ -12,14 +12,16 @@ Traces and propagation run in cycle positions 0..2m-1.  U(tau) is
 circulant, so ``propagate`` applies its first column as a circular
 convolution, and after the start hypothesis is collapsed every trace
 probability is the closed-form Fejer kernel of tau minus the target's
-displacement (see ``_trace_kernel``, whose kernel both
+displacement (see ``_trace_kernel``, whose class map and kernel both
 ``probability_trace`` and ``trace_csv_chunks`` apply).  Because
 U(tau + 2m) = U(tau), the rows at tau depend on it only through its time
-class (``_time_class``): the value of tau - round(tau) together with
-round(tau) mod 2m.  ``trace_csv_chunks`` numbers the classes of a block
+class, and ``_time_class`` makes that class one complex key: the exact
+tau - round(tau) as its real part and round(tau) mod 2m as its imaginary
+part.  The kernel takes the key and nothing else, so equal keys give equal
+rows by construction; ``trace_csv_chunks`` numbers the keys of a block
 with one sort, and computes and formats each class once when the block
 repeats its classes (a long grid on a small cycle).  Integer times take
-the exact permutation route.  The kernel, ``propagate`` and ``propagator``
+the exact permutation route.  The key, ``propagate`` and ``propagator``
 all split tau = w + f exactly, with w = round(tau), and apply
 U_D^(w mod 2m) U(f), so the eigenphases multiply only the fraction and a
 large tau keeps its bits.  The two oracle routes keep their own split on
@@ -157,7 +159,7 @@ def propagator(ev: SubspaceEvolution, tau: float) -> np.ndarray:
     """U(tau) = exp(tau * log U_D) on the cycle basis via the dense spectral
     frame; the reference that the circulant routes are checked against.
 
-    As in ``_cycle_kernel``, tau = w + f is split exactly first, with
+    As in ``_time_class``, tau = w + f is split exactly first, with
     w = round(tau): U(tau) = U_D^(w mod size) U(f), so the phases never
     multiply a large tau and the fraction keeps its bits.
     """
@@ -208,38 +210,41 @@ def apply_steps(ev: SubspaceEvolution, state: SparseState, count: int = 1) -> Sp
     return SparseState(state.m, moved)
 
 
-def _time_class(tau: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The time class of every tau on the size-cycle: frac = tau - round(tau),
-    with |frac| <= 1/2, and round(tau) mod size, both exact floats.
+def _time_class(tau: np.ndarray, size: int) -> np.ndarray:
+    """The time class of every tau on the size-cycle as one complex key:
+    (tau - round(tau)) + 1j * (round(tau) mod size).  Both parts are exact
+    floats; the real part, the fraction, has |frac| <= 1/2, and the
+    imaginary part is an integer in 0..size-1.
 
-    U(tau) = U_D^(round(tau) mod size) U(frac), so ``_cycle_kernel`` reads
-    tau only through these two numbers, and ``trace_csv_chunks`` numbers the
-    classes of a block with them.
+    U(tau) = U_D^(round(tau) mod size) U(frac), so the key is all that
+    ``_cycle_kernel`` needs, and ``trace_csv_chunks`` numbers the classes
+    of a block by sorting the keys.
     """
     import numpy as np
 
     whole = np.round(tau)
-    return tau - whole, np.mod(whole, size)
+    return (tau - whole) + 1j * np.mod(whole, size)
 
 
-def _cycle_kernel(tau: np.ndarray, d: np.ndarray, size: int) -> np.ndarray:
-    """|U(tau)[d, 0]|^2 on the size-cycle for every tau (rows) and
-    displacement d (columns): the Fejer kernel of x = tau - d off the
-    integers, and the exact indicator of x mod size == 0 on them.
+def _cycle_kernel(key: np.ndarray, d: np.ndarray, size: int) -> np.ndarray:
+    """|U(tau)[d, 0]|^2 on the size-cycle for the ``_time_class`` key of
+    every tau (rows) and every displacement d (columns): the Fejer kernel
+    of x = tau - d off the integers, and the exact indicator of
+    x mod size == 0 on them.
 
-    tau is read only through its ``_time_class``, so every tau of a class
-    gives the same row.  Within 1e-300 of an integer the indicator is taken
-    too: there the kernel equals its integer limit in double precision,
-    while pi * frac loses bits as it nears the subnormal range and the
-    closed form drifts (1.0004 at frac = 3e-320 on 16 positions).
+    Only ``key.real`` and ``key.imag`` are read, so equal keys give equal
+    rows.  Within 1e-300 of an integer the indicator is taken too: there the
+    kernel equals its integer limit in double precision, while pi * frac
+    loses bits as it nears the subnormal range and the closed form drifts
+    (1.0004 at frac = 3e-320 on 16 positions).
     """
     import numpy as np
 
     # Reduce x exactly before any multiplication by pi: the whole steps of x
     # are reduced mod size into [-size/2, size/2) in integer arithmetic.
     half = size // 2
-    frac, shift = _time_class(tau, size)
-    steps = np.mod(shift[:, None] - d + half, size) - half
+    frac = key.real
+    steps = np.mod(key.imag[:, None] - d + half, size) - half
     p = (steps == 0).astype(float)
     off = np.abs(frac) >= 1e-300
     y = frac[off, None] + steps[off]
@@ -292,15 +297,18 @@ def _trace_kernel(
     sentences: Iterable[int] | None,
     time_scale: float,
     renormalize: bool,
-) -> tuple[tuple[int, ...], Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[tuple[int, ...], Callable[..., np.ndarray], Callable[..., np.ndarray]]:
     """Validate a trace of ``count`` times, none above ``t_bound`` in
-    magnitude, and return its ``trace_sentences`` with its kernel.
+    magnitude, and return ``(sentences, classes, kernel)``: its
+    ``trace_sentences``, its class map and its kernel.
 
-    Every check runs on the call, so the caller may open its output once
-    this returns, and none of them loads numpy: the displacements are a
-    list, and numpy, their array and ``_cycle_kernel`` wait for the
-    kernel's first call.  The kernel maps an array t of times to p, where
-    p[:, :k] holds p_true and p[:, k:] p_false of the k sentences at t.
+    ``classes(t)`` is the ``_time_class`` key of tau = t / time_scale on
+    the 2m-cycle for an array t of times, and ``kernel(key)`` maps those
+    keys to p, where p[:, :k] holds p_true and p[:, k:] p_false of the k
+    sentences at t.  Every check runs on the call, so the caller may open
+    its output once this returns, and none of them loads numpy: the
+    displacements are a list, and numpy, their array and ``_cycle_kernel``
+    wait for the first call.
 
     The collapse leaves one cycle position, and each hypothesis sits at its
     own position (no degeneracy), d steps along the reasoning walk from the
@@ -348,12 +356,15 @@ def _trace_kernel(
     # 2 * MAX_SENTENCES, as a test checks one by one.
     weight = 1.0 if renormalize else _uniform_amplitude(size) ** 2
 
-    def kernel(t: np.ndarray) -> np.ndarray:
+    def classes(t: np.ndarray) -> np.ndarray:
+        return _time_class(t / time_scale, size)
+
+    def kernel(key: np.ndarray) -> np.ndarray:
         import numpy as np  # on the first call: a validated trace loads it here
 
-        return weight * _cycle_kernel(t / time_scale, np.array(d), size)
+        return weight * _cycle_kernel(key, np.array(d), size)
 
-    return sentences, kernel
+    return sentences, classes, kernel
 
 
 def probability_trace(
@@ -384,7 +395,7 @@ def probability_trace(
         t = t.astype(float)
     except OverflowError:
         raise _too_large("evolution time") from None
-    sentences, kernel = _trace_kernel(
+    sentences, classes, kernel = _trace_kernel(
         config,
         initial_measurement,
         len(t),
@@ -394,7 +405,7 @@ def probability_trace(
         renormalize,
     )
     k = len(sentences)
-    p = kernel(t)
+    p = kernel(classes(t))
     rows = []
     for t_row, p_true, p_false in zip(t.tolist(), p[:, :k].tolist(), p[:, k:].tolist()):
         rows.extend(map(TraceRow, [t_row] * k, sentences, p_true, p_false))
@@ -512,32 +523,27 @@ def trace_csv_chunks(
     are ``np.arange(lo, hi) * dt``, bit-identical to ``time_grid``'s
     ``j * dt``, and each is formatted once for all its sentences.
 
-    Time classes: U(tau + 2m) = U(tau), and ``_cycle_kernel`` reads
-    tau = t / time_scale only through its ``_time_class``, the value of
-    frac = tau - round(tau) together with round(tau) mod 2m, so the times of
-    a class have the same rows after the time.  Each block numbers its
-    classes with one sort, ``np.unique`` of frac + 1j * (round(tau) mod 2m).
-    Equal complex keys are exactly "the kernel reads the same two numbers":
-    they merge only the fractions +0.0 and -0.0, which both take the exact
-    integer route, and -0.0 does not arise, since t >= 0 on the grid and so
-    frac is +0.0 at the integers.  The block picks its route from the count:
+    Time classes: U(tau + 2m) = U(tau), so the rows after a time depend
+    only on its time class.  Each block computes the class key of its times
+    once, ``classes(t)`` from ``_trace_kernel``, and numbers the keys with
+    one sort, ``np.unique``; the kernel reads nothing but a key, so the
+    times of one key have the same rows.  The block picks its route from
+    the count of its keys:
 
-    - More than half as many classes as times (a grid that does not repeat
-      within the block): the kernel fills the whole block, each distinct
-      probability is formatted once with ``_format_distinct``, and the
-      strings of (t, p_true, p_false) fill a ``%s`` row template in one
-      ``%`` operation.
-    - At most half: the kernel and ``_format_distinct`` run on one time of
-      each class that the last block of this route did not hold, each
-      class's k row tails ``",i,p_true,p_false\n"`` are built once, and a
-      time t is written as ``t.join(("", *tails))``.  Every time of a class
-      runs the same float operations, so the bytes are those of the fill.
-      Only that last block's tails are kept, so they never outnumber one
-      block's times.
+    - More than half as many keys as times (a grid that does not repeat
+      within the block): the kernel fills the whole block from its keys,
+      each distinct probability is formatted once with
+      ``_format_distinct``, and the strings of (t, p_true, p_false) fill a
+      ``%s`` row template in one ``%`` operation.
+    - At most half: the kernel and ``_format_distinct`` run on each distinct
+      key that the last block of this route did not hold, each key's k row
+      tails ``",i,p_true,p_false\n"`` are built once, and a time t is
+      written as ``t.join(("", *tails))``.  Only that last block's tails are
+      kept, so they never outnumber one block's times.
     """
     count = grid_size(t_max, dt)
     check_precision(precision)
-    sentences, kernel = _trace_kernel(
+    sentences, classes, kernel = _trace_kernel(
         config,
         initial_measurement,
         count,
@@ -551,8 +557,6 @@ def trace_csv_chunks(
     tails = [f",{i},%s,%s\n" for i in sentences]
     k = len(sentences)
     per_block = max(1, _TRACE_BLOCK_ROWS // k)
-    size = 2 * config.m
-    scale = float(time_scale)  # accepted by _trace_kernel, so it converts
 
     def chunks():
         yield header
@@ -562,27 +566,25 @@ def trace_csv_chunks(
         for lo in range(0, count, per_block):
             t = np.arange(lo, min(lo + per_block, count)) * dt
             t_text = _format_distinct(t, precision)
-            frac, shift = _time_class(t / scale, size)
+            key = classes(t)
             # the shape of the inverse differs between numpy versions
-            keys, first, of_time = np.unique(
-                frac + 1j * shift, return_index=True, return_inverse=True
-            )
+            keys, of_time = np.unique(key, return_inverse=True)
             if 2 * len(keys) > len(t):
-                p = _format_distinct(kernel(t), precision)
+                p = _format_distinct(kernel(key), precision)
                 cells = np.empty((len(t), k, 3), dtype=object)
                 cells[:, :, 0] = t_text[:, None]
                 cells[:, :, 1] = p[:, :k]
                 cells[:, :, 2] = p[:, k:]
                 yield (row * len(t)) % tuple(cells.ravel().tolist())
                 continue
-            keys, of_time = keys.tolist(), of_time.reshape(-1).tolist()
-            texts = list(map(kept.get, keys))
+            of_time = of_time.reshape(-1).tolist()
+            texts = list(map(kept.get, keys.tolist()))
             new = [c for c, text in enumerate(texts) if text is None]
             if new:
-                p = _format_distinct(kernel(t[first[new]]), precision)
+                p = _format_distinct(kernel(keys[new]), precision)
                 for c, p_true, p_false in zip(new, p[:, :k].tolist(), p[:, k:].tolist()):
                     texts[c] = ("", *map(str.__mod__, tails, zip(p_true, p_false)))
-            kept = dict(zip(keys, texts))
+            kept = dict(zip(keys.tolist(), texts))
             yield "".join(map(str.join, t_text.tolist(), map(texts.__getitem__, of_time)))
 
     return chunks()

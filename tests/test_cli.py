@@ -1019,7 +1019,7 @@ def test_wide_trace_output_matches_reference_across_blocks():
 
 def _time_class(t, size):
     """The class of time t on the size-cycle at time scale 1: the fraction
-    t - round(t) and round(t) mod size, as ``_cycle_kernel`` splits it."""
+    t - round(t) and round(t) mod size, as ``evolution._time_class`` splits it."""
     whole = round(t)
     return t - whole, whole % size
 
@@ -1041,9 +1041,9 @@ def test_long_trace_output_matches_reference_through_time_classes(precision):
     calls = []
     kernel = evolution._cycle_kernel
 
-    def counted(tau, d, size):
-        calls.append(len(tau))
-        return kernel(tau, d, size)
+    def counted(key, d, size):
+        calls.append(len(key))
+        return kernel(key, d, size)
 
     argv = ["trace", "--config", "eight-liar", "--start", "3:F", "--t-max", repr(t_max)]
     with mock.patch.object(evolution, "_cycle_kernel", counted):
@@ -1098,9 +1098,9 @@ def test_class_route_output_matches_reference_across_blocks(
     calls = []
     kernel = evolution._cycle_kernel
 
-    def counted(tau, d, size):
-        calls.append(len(tau))
-        return kernel(tau, d, size)
+    def counted(key, d, size):
+        calls.append(len(key))
+        return kernel(key, d, size)
 
     with mock.patch.object(evolution, "_TRACE_BLOCK_ROWS", per_block * k):
         with mock.patch.object(evolution, "_cycle_kernel", counted):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liarsim.evolution as evolution
 from liarsim import (
@@ -35,6 +36,7 @@ from liarsim.evolution import (
     SubspaceEvolution,
     _cycle_kernel,
     _format_distinct,
+    _time_class,
     grid_size,
     principal_phases,
     time_grid,
@@ -154,7 +156,8 @@ def test_propagation_at_large_tau_matches_the_kernel(magnitude, sign):
     tau = sign * magnitude
     ev = build_evolution(eight_liar())
     start = SparseState(8, {ev.basis[0]: 1.0})
-    want = _cycle_kernel(np.array([tau]), np.arange(ev.size), ev.size)[0]
+    key = _time_class(np.array([tau]), ev.size)
+    want = _cycle_kernel(key, np.arange(ev.size), ev.size)[0]
     moved = propagate(ev, start, tau)
     got = np.abs([moved.amplitude(idx) for idx in ev.basis]) ** 2
     assert np.abs(got - want).max() <= 1e-12
@@ -420,14 +423,59 @@ def test_a_long_trace_evaluates_the_kernel_once_per_new_time_class():
     evaluated = []
     kernel = evolution._cycle_kernel
 
-    def counted(tau, d, size):
-        evaluated.append(len(tau))
-        return kernel(tau, d, size)
+    def counted(key, d, size):
+        evaluated.append(len(key))
+        return kernel(key, d, size)
 
     with mock.patch.object(evolution, "_cycle_kernel", counted):
         text = "".join(trace_csv_chunks(eight_liar(), (3, False), 1600.0, 0.05))
     assert text.count("\n") == 1 + 8 * count
     assert sum(evaluated) <= count / 10
+
+
+# finite times: any float up to 1e15 in magnitude, exact integers and
+# half-integers (exact as floats, since 2e15 < 2**53)
+TAUS = (
+    st.floats(-1e15, 1e15)
+    | st.integers(-(10**15), 10**15).map(float)
+    | st.integers(-2 * 10**15, 2 * 10**15).map(lambda n: n / 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TAUS, min_size=1, max_size=8), st.integers(2, 8192))
+def test_the_time_class_key_is_the_exact_split(taus, size):
+    # the trace writer numbers classes by these keys and the kernel reads
+    # nothing else, so both rest on the two parts being exact
+    tau = np.array(taus)
+    key = _time_class(tau, size)
+    whole = np.round(tau)
+    assert (key.imag == np.mod(whole, size)).all()
+    assert ((key.real + 0.0).view(np.uint64) == ((tau - whole) + 0.0).view(np.uint64)).all()
+    assert (np.abs(key.real) <= 0.5).all()
+    assert (key.imag == np.floor(key.imag)).all()
+    assert ((0 <= key.imag) & (key.imag <= size - 1)).all()
+
+
+@pytest.mark.parametrize("block_rows, calls", [(8, [4]), (7, [7, 7, 2])])
+def test_a_block_with_half_as_many_classes_as_times_takes_the_class_route(block_rows, calls):
+    # one liar at dt = 0.5: 16 times, and every 4 consecutive times hold the
+    # 4 classes (0, 0), (0.5, 0), (0, 1) and (-0.5, 0).  Blocks of 8 times
+    # hold exactly half as many classes, so they take the class route and
+    # the second block needs no kernel call; blocks of 7 take the fill route.
+    assert grid_size(7.5, 0.5) == 16
+    evaluated = []
+    kernel = evolution._cycle_kernel
+
+    def counted(key, d, size):
+        evaluated.append(len(key))
+        return kernel(key, d, size)
+
+    with mock.patch.object(evolution, "_TRACE_BLOCK_ROWS", block_rows):
+        with mock.patch.object(evolution, "_cycle_kernel", counted):
+            text = "".join(trace_csv_chunks(one_liar(), (1, True), 7.5, 0.5))
+    assert evaluated == calls
+    assert text == trace_to_csv(probability_trace(one_liar(), (1, True), time_grid(7.5, 0.5)))
 
 
 @pytest.mark.parametrize("line", ["a\nb", "a\rb", "a\r\nb"], ids=["lf", "cr", "crlf"])

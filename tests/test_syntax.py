@@ -8,13 +8,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
-    path for folder in ("src", "tests", "bench") for path in (ROOT / folder).rglob("*.py")
+    path for folder in ("src", "tests", "bench", "tools") for path in (ROOT / folder).rglob("*.py")
 )
 
 
 def test_the_source_folders_are_found():
     assert any(path.name == "statespace.py" for path in SOURCES)
     assert any(path.parent.name == "bench" for path in SOURCES)
+    assert any(path.parent.name == "tools" for path in SOURCES)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))

@@ -162,7 +162,7 @@ def test_wrong_trace_displacement_is_caught(monkeypatch):
     # the shipped kernel with x = tau + d instead of tau - d
     real = evolution._cycle_kernel
     passed = _results_with(
-        monkeypatch, evolution, "_cycle_kernel", lambda tau, d, size: real(tau, -d, size)
+        monkeypatch, evolution, "_cycle_kernel", lambda key, d, size: real(key, -d, size)
     )
     assert not passed["integer-steps"] and not passed["spectral"]
 
@@ -171,8 +171,8 @@ def test_off_integer_trace_scaling_is_caught(monkeypatch):
     # right at every integer time, 0.1% high between them
     real = evolution._cycle_kernel
 
-    def scaled(tau, d, size):
-        return real(tau, d, size) * np.where(tau == np.round(tau), 1.0, 1.001)[:, None]
+    def scaled(key, d, size):
+        return real(key, d, size) * np.where(key.real == 0, 1.0, 1.001)[:, None]
 
     passed = _results_with(monkeypatch, evolution, "_cycle_kernel", scaled)
     assert passed["integer-steps"] and not passed["spectral"]
