@@ -9,6 +9,7 @@ assignment, exactly when the number of negating claims is odd.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
@@ -59,11 +60,12 @@ def check_sentence(sentence: int, m: int) -> None:
         raise OutOfRange(f"sentence {sentence!r} outside 1..{m!r}")
 
 
-def check_truth_value(value: bool) -> None:
+def check_truth_value(value: bool, what: str = "truth value") -> None:
     """Reject ``value`` unless it is True or False: a ``bool``, so neither
-    1 nor a numpy bool is taken for one."""
+    1 nor a numpy bool is taken for one.  The one rule for every flag;
+    ``what`` names it in the error."""
     if not isinstance(value, bool):
-        raise OutOfRange(f"truth value must be True or False, got {value!r}")
+        raise OutOfRange(f"{what} must be True or False, got {reprlib.repr(value)}")
 
 
 def validate(config: Configuration) -> Configuration:

@@ -30,6 +30,13 @@ with it.  The dense spectral frame (``fourier_frame``,
 ``propagator``, ``hamiltonian``) is built only on demand and is kept as the
 verification oracle for small m.
 
+Every time argument (tau, the times of a trace, ``time_scale``, ``t_max``
+and ``dt``) is read once, at the call, by ``_real``: it must be a real
+number other than a ``bool`` whose float is finite, and the code after
+uses only that float, whatever type was passed.  An integer up to 2**53
+therefore gives the output of its float.  Only ``propagate`` keeps an
+integral tau exact, on the permutation route.
+
 Branch convention, which pins every continuous-time quantity:
 U(tau) = exp(tau * log U_D) with the principal logarithm taken
 eigenvalue-wise, eigenphases in (-pi, pi] and the phase of -1 mapped to +pi.
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .config import Configuration, check_sentence, is_json_int
+from .config import MAX_SENTENCES, Configuration, check_sentence, check_truth_value, is_json_int
 from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
 from .statespace import SparseState, TensorIndex, _uniform_amplitude, cycle_states
@@ -74,7 +81,13 @@ def principal_phases(size: int) -> np.ndarray:
 
 def fourier_frame(size: int) -> np.ndarray:
     """Unitary frame F with F[t, k] = exp(2i*pi*t*k/size)/sqrt(size); column
-    k is the shift eigenvector with eigenvalue exp(i * principal_phases[k])."""
+    k is the shift eigenvector with eigenvalue exp(i * principal_phases[k]).
+    ``size`` is an integer (``is_json_int``) in 1..2 * MAX_SENTENCES."""
+    if not (is_json_int(size) and 1 <= size <= 2 * MAX_SENTENCES):
+        raise OutOfRange(
+            f"frame size must be an integer in 1..{2 * MAX_SENTENCES},"
+            f" got {reprlib.repr(size)}"
+        )
     import numpy as np
 
     t = np.arange(size)
@@ -90,20 +103,23 @@ def frame_operator(size: int, values: np.ndarray) -> np.ndarray:
     return f @ np.diag(values) @ f.conj().T
 
 
-def _check_finite_time(tau: float) -> None:
-    if not math.isfinite(tau):
-        raise OutOfRange(f"evolution time must be finite, got {tau}")
-
-
 def _is_real(x: object) -> bool:
     """True for a real number: ``numbers.Real``, but not ``bool``."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _too_large(what: str) -> OutOfRange:
-    """The error for an integer ``what`` past the float range: finite, but
-    its float would be infinite."""
-    return OutOfRange(f"{what} must be finite, got one too large for a float")
+def _real(x: object, what: str) -> float:
+    """``x`` as a float: a real number (``_is_real``) whose float is finite,
+    so not nan, not an infinity and not an integer past the float range;
+    ``what`` names it in the error."""
+    if not _is_real(x):
+        raise OutOfRange(f"{what} must be a real number, got {reprlib.repr(x)}")
+    try:
+        if math.isfinite(value := float(x)):
+            return value
+    except OverflowError:
+        raise OutOfRange(f"{what} must be finite, got one too large for a float") from None
+    raise OutOfRange(f"{what} must be finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +177,13 @@ def propagator(ev: SubspaceEvolution, tau: float) -> np.ndarray:
 
     As in ``_time_class``, tau = w + f is split exactly first, with
     w = round(tau): U(tau) = U_D^(w mod size) U(f), so the phases never
-    multiply a large tau and the fraction keeps its bits.
+    multiply a large tau and the fraction keeps its bits.  tau is read as a
+    float (``_real``), so an integer that no float holds is rounded first.
     """
-    _check_finite_time(tau)
+    tau = _real(tau, "evolution time")
     import numpy as np
 
-    whole = round(float(tau))
+    whole = round(tau)
     phases = np.exp(1j * principal_phases(ev.size) * (tau - whole))
     # U_D^shift U(f): its row t is row t - shift of U(f)
     shift = whole % ev.size
@@ -182,18 +199,20 @@ def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseSt
     the principal eigenphases, and it acts on the position vector v as the
     circular convolution c * v = ifft(exp(i*theta*tau) fft(v)).  As in
     ``propagator``, tau = w + f is split exactly first: v moves w mod size
-    positions as in ``apply_steps``, and the convolution runs with f.
+    positions as in ``apply_steps``, and the convolution runs with f.  The
+    route is picked on tau as given, so an integer past 2**53 stays exact,
+    and a fractional tau is read as a float (``_real``).
     """
-    _check_finite_time(tau)
+    float_tau = _real(tau, "evolution time")
     if tau == int(tau):
         return apply_steps(ev, state, int(tau))
     import numpy as np
 
-    whole = round(float(tau))
+    whole = round(float_tau)
     vec = np.zeros(ev.size, dtype=complex)
     for idx, a in state.amplitudes.items():
         vec[(ev.position(idx) + whole) % ev.size] = a
-    phases = np.exp(1j * principal_phases(ev.size) * (tau - whole))
+    phases = np.exp(1j * principal_phases(ev.size) * (float_tau - whole))
     out = np.fft.ifft(phases * np.fft.fft(vec))
     return SparseState(state.m, {idx: complex(out[t]) for t, idx in enumerate(ev.basis)})
 
@@ -279,7 +298,12 @@ def trace_sentences(sentences: Iterable[int] | None, m: int) -> tuple[int, ...]:
     the given ones sorted, deduplicated, non-empty and checked against m."""
     if sentences is None:
         return tuple(range(1, m + 1))
-    sentences = tuple(sentences)
+    try:
+        sentences = tuple(sentences)
+    except TypeError:
+        raise OutOfRange(
+            f"sentences must be an iterable of integers, got {reprlib.repr(sentences)}"
+        ) from None
     # checked before sorting: a str does not sort with an int, and 1.0 or
     # True would merge with 1
     for i in sentences:
@@ -298,8 +322,8 @@ def _trace_kernel(
     time_scale: float,
     renormalize: bool,
 ) -> tuple[tuple[int, ...], Callable[..., np.ndarray], Callable[..., np.ndarray]]:
-    """Validate a trace of ``count`` times, none above ``t_bound`` in
-    magnitude, and return ``(sentences, classes, kernel)``: its
+    """Validate a trace of ``count`` float times, none above the float
+    ``t_bound`` in magnitude, and return ``(sentences, classes, kernel)``: its
     ``trace_sentences``, its class map and its kernel.
 
     ``classes(t)`` is the ``_time_class`` key of tau = t / time_scale on
@@ -327,25 +351,17 @@ def _trace_kernel(
             f" got {reprlib.repr(initial_measurement)}"
         ) from None
     sentences = trace_sentences(sentences, m)
-    if not _is_real(time_scale):
-        raise OutOfRange(
-            f"time scale must be a real number, got {reprlib.repr(time_scale)}"
-        )
-    if not 0 < time_scale < math.inf:
+    # the range is tested on the value as given, before ``_real``, and the
+    # message quotes it so: -10**400 is out of range, not too large
+    if _is_real(time_scale) and not 0 < time_scale < math.inf:
         raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
-    try:
-        time_scale = float(time_scale)
-    except OverflowError:
-        raise _too_large("time scale") from None
-    if not isinstance(renormalize, bool):
-        raise OutOfRange(
-            f"renormalize must be True or False, got {reprlib.repr(renormalize)}"
-        )
+    time_scale = _real(time_scale, "time scale")
+    check_truth_value(renormalize, "renormalize")
     walk = reasoning_cycle(config)
     origin = walk.step_of(start_sentence, start_value)
     trace_row_count(count, len(sentences))
     # |t| <= t_bound, so every tau is finite when this one is.
-    _check_finite_time(t_bound / time_scale)
+    _real(t_bound / time_scale, "evolution time")
     size = 2 * m
     # Displacements of the traced hypotheses: all "true" columns, then all
     # "false" columns.
@@ -384,17 +400,15 @@ def probability_trace(
     reasoning step, i.e. the evolution parameter is t / time_scale.  Rows
     are ordered time-major, sentence-minor (ascending).  The kernel is the
     closed form described at ``_trace_kernel``.  ``times`` must be a
-    one-dimensional sequence of real numbers (``bool`` is not one).
+    one-dimensional sequence of real numbers (``bool`` is not one), and
+    each is read once as a finite float (``_real``).
     """
     import numpy as np
 
     t = np.asarray(times, dtype=object)
     if t.ndim != 1 or not all(map(_is_real, t.flat)):
         raise OutOfRange("times must be a one-dimensional sequence of real numbers")
-    try:
-        t = t.astype(float)
-    except OverflowError:
-        raise _too_large("evolution time") from None
+    t = np.array([_real(x, "evolution time") for x in t.tolist()], dtype=float)
     sentences, classes, kernel = _trace_kernel(
         config,
         initial_measurement,
@@ -412,30 +426,37 @@ def probability_trace(
     return tuple(rows)
 
 
-def grid_size(t_max: float, dt: float) -> int:
-    """Number of times in the grid 0, dt, 2*dt, ... up to and including
-    t_max."""
+def _grid(t_max: float, dt: float) -> tuple[int, float]:
+    """``grid_size(t_max, dt)`` and dt as a float (``_real``)."""
     if not (_is_real(t_max) and _is_real(dt)):
         raise OutOfRange(
             f"t_max and dt must be real numbers, got t_max={reprlib.repr(t_max)},"
             f" dt={reprlib.repr(dt)}"
         )
+    # as for the time scale, the range is tested and quoted as given
     if not (0 < dt < math.inf and 0 <= t_max < math.inf):
         raise OutOfRange(
             f"need finite dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}"
         )
-    try:
-        steps = t_max / dt
-    except OverflowError:
-        raise _too_large("t_max and dt") from None
+    span, step = _real(t_max, "t_max and dt"), _real(dt, "t_max and dt")
+    # a positive dt such as Fraction(1, 10**400) is 0.0 as a float
+    steps = span / step if step else math.inf
     if not math.isfinite(steps):
         raise OutOfRange(f"t_max/dt must be finite, got t_max={t_max}, dt={dt}")
-    return int(math.floor(steps + 1e-9)) + 1
+    return int(math.floor(steps + 1e-9)) + 1, step
+
+
+def grid_size(t_max: float, dt: float) -> int:
+    """Number of times in the grid 0, dt, 2*dt, ... up to and including
+    t_max, both read as floats (``_real``)."""
+    return _grid(t_max, dt)[0]
 
 
 def time_grid(t_max: float, dt: float) -> tuple[float, ...]:
-    """Deterministic grid 0, dt, 2*dt, ... up to and including t_max."""
-    return tuple(j * dt for j in range(grid_size(t_max, dt)))
+    """Deterministic grid 0, dt, 2*dt, ... up to and including t_max: the
+    floats j * dt for the float dt."""
+    count, dt = _grid(t_max, dt)
+    return tuple(j * dt for j in range(count))
 
 
 def check_precision(precision: int, what: str = "precision") -> int:
@@ -519,9 +540,11 @@ def trace_csv_chunks(
     Every check, the row cap included, runs on the call and loads no numpy
     (see ``_trace_kernel``).  The chunks are computed as they are consumed:
     the header first, so it can be written before numpy loads, then the
-    blocks, the first of which loads numpy and calls the kernel.  The times
-    are ``np.arange(lo, hi) * dt``, bit-identical to ``time_grid``'s
-    ``j * dt``, and each is formatted once for all its sentences.
+    blocks, the first of which loads numpy and calls the kernel.  t_max
+    and dt are read once as floats (``_real``), and the times are
+    ``np.arange(lo, hi) * dt`` for the float dt, bit-identical to
+    ``time_grid``'s ``j * dt``; each is formatted once for all its
+    sentences.
 
     Time classes: U(tau + 2m) = U(tau), so the rows after a time depend
     only on its time class.  Each block computes the class key of its times
@@ -541,7 +564,7 @@ def trace_csv_chunks(
       written as ``t.join(("", *tails))``.  Only that last block's tails are
       kept, so they never outnumber one block's times.
     """
-    count = grid_size(t_max, dt)
+    count, dt = _grid(t_max, dt)
     check_precision(precision)
     sentences, classes, kernel = _trace_kernel(
         config,

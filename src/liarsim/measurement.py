@@ -85,8 +85,10 @@ def collapse(
     The probability is the squared norm of the raw projection.  By default
     the projected state is rescaled back to norm 1; with renormalize=False
     the raw projection is returned unchanged.  A null projection yields the
-    null state with probability 0.0 rather than an error.
+    null state with probability 0.0 rather than an error.  ``renormalize``
+    must be a ``bool`` (``check_truth_value``).
     """
+    check_truth_value(renormalize, "renormalize")
     projected = SparseState(state.m, _kept(p, state))
     probability = projected.norm() ** 2
     if probability == 0.0:

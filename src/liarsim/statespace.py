@@ -55,6 +55,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
+import numbers
 import reprlib
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -164,6 +165,8 @@ class SparseState:
 
     Immutable after construction; the amplitude map is defensively copied.
     An empty map is the distinguished null state (e.g. a zero projection).
+    Every amplitude is a ``numbers.Number`` other than a ``bool`` whose
+    ``complex`` does not overflow; a str such as "1" is not coerced.
     m = 0 is the one-dimensional space of the empty tuple; a negative m
     raises OutOfRange.
     """
@@ -183,7 +186,15 @@ class SparseState:
                     f"tuple {reprlib.repr(idx)} has length {len(idx)}, expected {self.m}"
                 )
             check_tensor_index(idx)
-            amps[idx] = complex(a)
+            if isinstance(a, bool) or not isinstance(a, numbers.Number):
+                raise OutOfRange(
+                    f"amplitude of tuple {reprlib.repr(idx)} must be a number,"
+                    f" got {reprlib.repr(a)}"
+                )
+            try:
+                amps[idx] = complex(a)
+            except OverflowError:
+                raise OutOfRange(f"amplitude of tuple {reprlib.repr(idx)} overflows") from None
         object.__setattr__(self, "amplitudes", amps)
 
     @property

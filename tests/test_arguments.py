@@ -1,6 +1,8 @@
-"""Library arguments: a value of the wrong type in an integer or truth-value
-slot raises OutOfRange with a one-line message, never a TypeError, a
-KeyError or an IndexError, and is never coerced."""
+"""Library arguments: a value of the wrong type in an integer, truth-value or
+real-number slot raises OutOfRange with a one-line message, never a
+TypeError, a KeyError or an IndexError, and is never coerced."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +14,19 @@ from liarsim import (
     apply_steps,
     build_evolution,
     build_initial_state,
+    collapse,
     count_paradoxical,
     eight_liar,
     enumerate_paradoxical,
+    fourier_frame,
     hypothesis_projector,
     inference_projector,
     kappa,
     kappa_inverse,
     one_liar,
     probability_trace,
+    propagate,
+    propagator,
     reasoning_cycle,
     simple_liar,
     single_entry_projector,
@@ -40,11 +46,14 @@ from liarsim.verify import run_verification
 
 EV = build_evolution(one_liar())
 PSI0 = build_initial_state(one_liar())
+# one liar hypothesized true: unlike PSI0, it moves with every step
+START, _ = collapse(PSI0, hypothesis_projector(1, True, 1))
 WALK = reasoning_cycle(eight_liar())
 
 # name -> (call, valid arguments, slot kinds): "i" an integer slot, "b" a
-# truth-value slot.  Nested slots (tuple entries, a start hypothesis, a
-# sentence list) are flattened into the call's arguments.
+# truth-value slot, "r" a real-number slot (a time, a time scale, t_max or
+# dt).  Nested slots (tuple entries, a start hypothesis, a sentence list)
+# are flattened into the call's arguments.
 CALLS = {
     "count_paradoxical": (count_paradoxical, (3,), "i"),
     "enumerate_paradoxical": (lambda m: next(enumerate_paradoxical(m)), (3,), "i"),
@@ -64,19 +73,36 @@ CALLS = {
     "step_of": (WALK.step_of, (1, True), "ib"),
     "infer_next": (lambda s, v: infer_next(eight_liar(), s, v), (1, True), "ib"),
     "probability_trace": (
-        lambda s, v, a, b, r: probability_trace(
-            eight_liar(), (s, v), [0.5], sentences=[a, b], renormalize=r
+        lambda s, v, a, b, r, c: probability_trace(
+            eight_liar(), (s, v), [0.5], sentences=[a, b], renormalize=r, time_scale=c
         ),
-        (1, True, 1, 2, True),
-        "ibiib",
+        (1, True, 1, 2, True, 1.0),
+        "ibiibr",
     ),
     "trace_csv_chunks": (
-        lambda s, v, a, p, r: trace_csv_chunks(
-            eight_liar(), (s, v), 0.5, 0.5, sentences=[a], precision=p, renormalize=r
+        lambda s, v, a, p, r, t_max, dt, c: trace_csv_chunks(
+            eight_liar(),
+            (s, v),
+            t_max,
+            dt,
+            sentences=[a],
+            precision=p,
+            renormalize=r,
+            time_scale=c,
         ),
-        (1, True, 1, 12, False),
-        "ibiib",
+        (1, True, 1, 12, False, 0.5, 0.5, 1.0),
+        "ibiibrrr",
     ),
+    "grid_size": (grid_size, (1.0, 0.5), "rr"),
+    "time_grid": (time_grid, (1.0, 0.5), "rr"),
+    "propagate": (lambda tau: propagate(EV, START, tau), (0.5,), "r"),
+    "propagator": (lambda tau: propagator(EV, tau), (0.5,), "r"),
+    "collapse": (
+        lambda r: collapse(PSI0, hypothesis_projector(1, True, 1), renormalize=r),
+        (True,),
+        "b",
+    ),
+    "fourier_frame": (fourier_frame, (2,), "i"),
     "hypothesis_at": (WALK.hypothesis_at, (1,), "i"),
     "trace_to_csv": (
         lambda s, p: trace_to_csv([TraceRow(0.0, s, 1.0, 0.0)], precision=p),
@@ -102,6 +128,18 @@ NOT_A_BOOL = st.one_of(
     st.booleans().map(np.bool_),
     st.integers(0, 1).map(np.int64),
 )
+# every float is a real number; integers past the float range are refused
+# as too large
+NOT_A_REAL = st.one_of(
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(),
+    st.integers(2**1024, 2**1100),
+    st.integers(-(2**1100), -(2**1024)),
+)
+NOT_OF_KIND = {"i": NOT_AN_INT, "b": NOT_A_BOOL, "r": NOT_A_REAL}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -129,7 +167,7 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
     )
     args = list(args)
     for k in spoiled:
-        args[k] = data.draw(NOT_AN_INT if kinds[k] == "i" else NOT_A_BOOL)
+        args[k] = data.draw(NOT_OF_KIND[kinds[k]])
     _one_line_out_of_range(call, *args)
 
 
@@ -145,13 +183,26 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 # from unpacking it) and grid bounds and time scales that are not real
 # numbers (a str a TypeError, True taken as 1), then a renormalize flag that
 # is not a bool (taken by its truth) and header lines that are one str (a
-# comment line per character) or hold a line that is not a str.
+# comment line per character) or hold a line that is not a str.  Then the
+# times of propagate and propagator ('1', None and 1+2j a TypeError, True
+# taken as 1, 10**400 an OverflowError), collapse's renormalize (taken by
+# its truth), grid bounds that no float holds though their ratio does
+# (dt = 10**400 failed after the header, (10**400, 10**392) on its time
+# bound) and a dt of 1/10**400, 0.0 as a float (an OverflowError),
+# fourier_frame sizes (1.5, True and 1+2j gave a matrix, -1 a
+# RuntimeWarning, the rest a TypeError or a ValueError), SparseState
+# amplitudes ("1" and True stored as 1+0j, None a TypeError, 10**400 an
+# OverflowError) and sentences that are not iterable (a TypeError).
 TIMES = "times must be a one-dimensional sequence of real numbers"
 HUGE_TIME = "evolution time must be finite, got one too large for a float"
 HUGE_GRID = "t_max and dt must be finite, got one too large for a float"
 HUGE_SCALE = "time scale must be finite, got one too large for a float"
 PAIR = "initial measurement must be a (sentence, truth value) pair, got "
 HEADER_STR = "trace header lines must be a sequence of str, got the str 'ab'"
+REAL_TIME = "evolution time must be a real number, got "
+FRAME = "frame size must be an integer in 1..8192, got "
+AMPLITUDE = "amplitude of tuple (1,) must be a number, got "
+SENTENCES = "sentences must be an iterable of integers, got "
 
 
 @pytest.mark.parametrize(
@@ -253,6 +304,59 @@ HEADER_STR = "trace header lines must be a sequence of str, got the str 'ab'"
             "trace header line must be a str, got 1",
         ),
         (trace_to_csv, ((), [b"a"]), "trace header line must be a str, got b'a'"),
+        (propagate, (EV, START, "1"), REAL_TIME + "'1'"),
+        (propagate, (EV, START, True), REAL_TIME + "True"),
+        (propagate, (EV, START, None), REAL_TIME + "None"),
+        (propagate, (EV, START, 1 + 2j), REAL_TIME + "(1+2j)"),
+        (propagate, (EV, START, 10**400), HUGE_TIME),
+        (propagator, (EV, "1"), REAL_TIME + "'1'"),
+        (propagator, (EV, True), REAL_TIME + "True"),
+        (propagator, (EV, None), REAL_TIME + "None"),
+        (propagator, (EV, 1 + 2j), REAL_TIME + "(1+2j)"),
+        (propagator, (EV, 10**400), HUGE_TIME),
+        (
+            collapse,
+            (PSI0, hypothesis_projector(1, True, 1), "no"),
+            "renormalize must be True or False, got 'no'",
+        ),
+        (
+            collapse,
+            (PSI0, hypothesis_projector(1, True, 1), 1),
+            "renormalize must be True or False, got 1",
+        ),
+        (trace_csv_chunks, (one_liar(), (1, True), 0, 10**400), HUGE_GRID),
+        (trace_csv_chunks, (one_liar(), (1, True), 10**400, 10**392), HUGE_GRID),
+        (
+            grid_size,
+            (1, Fraction(1, 10**400)),
+            "t_max/dt must be finite, got t_max=1, dt=1/1" + "0" * 400,
+        ),
+        (fourier_frame, (1.5,), FRAME + "1.5"),
+        (fourier_frame, (True,), FRAME + "True"),
+        (fourier_frame, (1 + 2j,), FRAME + "(1+2j)"),
+        (fourier_frame, (-1,), FRAME + "-1"),
+        (fourier_frame, ("1",), FRAME + "'1'"),
+        (fourier_frame, (None,), FRAME + "None"),
+        (fourier_frame, (10**400,), FRAME + "100000000000000000...0000000000000000000"),
+        (SparseState, (1, {(1,): "1"}), AMPLITUDE + "'1'"),
+        (SparseState, (1, {(1,): True}), AMPLITUDE + "True"),
+        (SparseState, (1, {(1,): None}), AMPLITUDE + "None"),
+        (SparseState, (1, {(1,): 10**400}), "amplitude of tuple (1,) overflows"),
+        (
+            lambda: probability_trace(one_liar(), (1, True), [0.5], sentences=5),
+            (),
+            SENTENCES + "5",
+        ),
+        (
+            lambda: probability_trace(one_liar(), (1, True), [0.5], sentences=True),
+            (),
+            SENTENCES + "True",
+        ),
+        (
+            lambda: trace_csv_chunks(one_liar(), (1, True), 0.5, 0.5, sentences=1.5),
+            (),
+            SENTENCES + "1.5",
+        ),
     ],
 )
 def test_found_misuse_is_a_one_line_out_of_range(call, args, message):
@@ -269,3 +373,17 @@ def test_a_float_sentence_is_refused_not_written_as_a_float():
     chunked = "".join(trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, sentences=[1]))
     rows = probability_trace(eight_liar(), (1, True), [0.0, 0.5], sentences=[1])
     assert chunked == trace_to_csv(rows)
+
+
+def test_a_time_is_read_as_its_float():
+    # the chunked writer multiplied int64 times (2**63 wrapped to -2**63)
+    # and failed on a Fraction dt after the header
+    for t_max, dt in ((2**63, 2**62), (Fraction(1), Fraction(1, 4))):
+        chunked = "".join(trace_csv_chunks(one_liar(), (1, True), t_max, dt))
+        rows = probability_trace(one_liar(), (1, True), time_grid(t_max, dt))
+        assert chunked == trace_to_csv(rows)
+    assert propagate(EV, START, Fraction(5, 2)) == propagate(EV, START, 2.5)
+    assert np.array_equal(propagator(EV, Fraction(5, 2)), propagator(EV, 2.5))
+    # an integral tau keeps the exact route, past 2**53 too
+    assert propagate(EV, START, 2**60 + 1) == apply_steps(EV, START, 2**60 + 1)
+    assert propagate(EV, START, 2**60 + 1) != propagate(EV, START, 2**60)
