@@ -24,7 +24,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .config import is_json_int
+from .config import check_int, check_sentence_count, quote
 from .errors import OutOfRange, UnsupportedDimension
 from .statespace import TensorIndex
 
@@ -34,12 +34,12 @@ AUDIT_BOUND = 4
 def _operator_targets(m: int, n: int) -> tuple[tuple[str, int, TensorIndex, str], ...]:
     """The 2m operators as (family, sentence, target, outcome): "tau" truth
     operators by sentence, then "phi" falsehood operators by sentence, for
-    sentence dimension n, which must be 2m or 2m - 1."""
-    if not (is_json_int(m) and is_json_int(n) and m >= 1):
-        raise OutOfRange(f"need integers m >= 1 and n, got m = {m!r}, n = {n!r}")
-    if n not in (2 * m, 2 * m - 1):
+    the sentence count m and the sentence dimension n, an integer
+    (``check_int``) that must be 2m or 2m - 1."""
+    check_sentence_count(m)
+    if check_int(n, "dimension n") not in (2 * m, 2 * m - 1):
         raise UnsupportedDimension(
-            f"audit covers n = 2m and n = 2m-1 only, got n={n} for m={m}"
+            f"audit covers n = 2m and n = 2m-1 only, got n={quote(n)} for m={m}"
         )
     if n == 2 * m - 1 and m < 2:
         raise OutOfRange("the reduced-dimension system needs m >= 2 distinct entries")
@@ -153,9 +153,9 @@ class MinimalityReport:
 
 
 def verify_minimality(m: int) -> MinimalityReport:
-    """Run both branches of the audit for one m and report the verdicts."""
-    if not (is_json_int(m) and 2 <= m <= AUDIT_BOUND):
-        raise OutOfRange(f"audit covers 2 <= m <= {AUDIT_BOUND}, got {m!r}")
+    """Run both branches of the audit for one m in 2..AUDIT_BOUND
+    (``check_int``) and report the verdicts."""
+    check_int(m, "audit sentence count", 2, AUDIT_BOUND)
     return MinimalityReport(
         m=m,
         satisfiable=solve_constraints(m, 2 * m),

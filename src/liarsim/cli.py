@@ -39,6 +39,7 @@ from .config import (
     count_paradoxical,
     eight_liar,
     one_liar,
+    quote,
     simple_liar,
 )
 from .errors import LiarSimError, OutOfRange
@@ -76,7 +77,7 @@ def resolve_config(spec: str) -> Configuration:
             m = int(text.split(":", 1)[1])
         except ValueError:
             raise OutOfRange(
-                f"expected simple:<m> with an integer m, got {spec!r}"
+                f"expected simple:<m> with an integer m, got {quote(spec)}"
             ) from None
         return simple_liar(m)
     if text.startswith("{"):
@@ -97,7 +98,7 @@ def parse_start(text: str) -> tuple[int, bool]:
         return int(sentence), value.upper() == "T"
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected <sentence>:<T|F>, got {text!r}"
+            f"expected <sentence>:<T|F>, got {quote(text)}"
         ) from None
 
 
@@ -116,7 +117,7 @@ def parse_time_scale(text: str) -> float:
         scale = math.nan
     if not 0 < scale < math.inf:
         raise argparse.ArgumentTypeError(
-            f"expected a finite positive number, pi or pi/<d>, got {text!r}"
+            f"expected a finite positive number, pi or pi/<d>, got {quote(text)}"
         )
     return scale
 
@@ -126,7 +127,7 @@ def parse_sentences(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated sentence numbers, got {text!r}"
+            f"expected comma-separated sentence numbers, got {quote(text)}"
         ) from None
 
 
@@ -137,7 +138,7 @@ def output_precision() -> int:
     try:
         p = int(raw)
     except ValueError:
-        raise OutOfRange(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+        raise OutOfRange(f"{PRECISION_ENV} must be an integer, got {quote(raw)}") from None
     return check_precision(p, PRECISION_ENV)
 
 

@@ -9,6 +9,7 @@ assignment, exactly when the number of negating claims is odd.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -41,23 +42,49 @@ class Configuration:
         validate(self)
 
 
+class _Quote(reprlib.Repr):
+    """``reprlib``'s bounded repr, except that an integer past 128 bits
+    (about 39 digits) is named by its digit count.  Its digits are never
+    made, so an integer of any size quotes in under 40 characters, where
+    ``repr`` refuses one past 4,300 digits."""
+
+    def repr_int(self, x, level):
+        if x.bit_length() <= 128:
+            return repr(x)
+        digits = int(math.log10(abs(x)))  # off by at most one near a power of ten
+        digits += (10 ** (digits + 1) <= abs(x)) - (10**digits > abs(x)) + 1
+        return f"<{'negative ' if x < 0 else ''}int of {digits} digits>"
+
+
+quote = _Quote().repr
+
+
+def check_int(value: object, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """Return ``value`` if it is an integer in lo..hi, or any integer when
+    no bounds are given.  The one rule for every integer argument: an
+    ``int`` and not a ``bool``, so neither 2.0 nor a numpy integer is taken
+    for one.  ``what`` names it in the error, "<what> must be an integer in
+    <lo>..<hi>, got <value>", every number quoted by ``quote``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if lo is None or lo <= value <= hi:
+            return value
+    bounds = "" if lo is None else f" in {quote(lo)}..{quote(hi)}"
+    raise OutOfRange(f"{what} must be an integer{bounds}, got {quote(value)}")
+
+
 def check_sentence_count(m: int) -> int:
-    """Return ``m`` if it is a sentence count: an integer (``is_json_int``)
-    in 1..MAX_SENTENCES."""
-    if not is_json_int(m) or m < 1:
-        raise OutOfRange(f"sentence count must be a positive integer, got {m!r}")
-    if m > MAX_SENTENCES:
-        raise OutOfRange(f"sentence count {m} exceeds MAX_SENTENCES = {MAX_SENTENCES}")
-    return m
+    """Return ``m`` if it is a sentence count: an integer in
+    1..MAX_SENTENCES (``check_int``).  Every m that counts the sentences of
+    a configuration is read here, ``kappa_inverse``'s included."""
+    return check_int(m, "sentence count", 1, MAX_SENTENCES)
 
 
 def check_sentence(sentence: int, m: int) -> None:
-    """Reject ``sentence`` unless it is one of the sentences 1..m, both
-    integers by ``is_json_int``; nothing is coerced."""
+    """Reject ``sentence`` unless it is one of the sentences 1..m of the
+    sentence count ``m`` (``check_int``)."""
     # plain ints skip the calls: every projection checks its sentence
-    ints = type(sentence) is type(m) is int or is_json_int(sentence) and is_json_int(m)
-    if not (ints and 1 <= sentence <= m):
-        raise OutOfRange(f"sentence {sentence!r} outside 1..{m!r}")
+    if not (type(sentence) is type(m) is int and 1 <= sentence <= m <= MAX_SENTENCES):
+        check_int(sentence, "sentence", 1, check_sentence_count(m))
 
 
 def check_truth_value(value: bool, what: str = "truth value") -> None:
@@ -65,38 +92,33 @@ def check_truth_value(value: bool, what: str = "truth value") -> None:
     1 nor a numpy bool is taken for one.  The one rule for every flag;
     ``what`` names it in the error."""
     if not isinstance(value, bool):
-        raise OutOfRange(f"{what} must be True or False, got {reprlib.repr(value)}")
+        raise OutOfRange(f"{what} must be True or False, got {quote(value)}")
 
 
 def validate(config: Configuration) -> Configuration:
     """Return ``config`` unchanged if it is a well-formed single cycle.
 
-    ``m`` and every referent must be integers (not bools) and every
-    negation a bool, with both sequences tuples; nothing is coerced.  The
-    reference map must be a permutation of 1..m consisting of one m-cycle;
-    the identity map is accepted only for m = 1 (self-reference).
+    ``m`` must be a sentence count, every referent a sentence 1..m
+    (``check_int``) and every negation a bool (``check_truth_value``), with
+    both sequences tuples; nothing is coerced.  The reference map must be a
+    permutation of 1..m consisting of one m-cycle; the identity map is
+    accepted only for m = 1 (self-reference).
     """
-    what = "malformed configuration object"
-    if not is_json_int(config.m):
-        raise OutOfRange(f"{what}: m must be an integer, got {config.m!r}")
-    for name, items, ok, kind in (
-        ("referent", config.referent, is_json_int, "integers"),
-        ("negating", config.negating, lambda b: isinstance(b, bool), "booleans"),
-    ):
-        # config_from_json passes a JSON list as a tuple, anything else as is
-        if isinstance(items, list):
-            raise OutOfRange(f"{what}: {name} must be a tuple, got a list")
-        if not (isinstance(items, tuple) and all(ok(x) for x in items)):
-            raise OutOfRange(f"{what}: {name} must be a list of {kind}")
     m = check_sentence_count(config.m)
+    for name, items in (("referent", config.referent), ("negating", config.negating)):
+        # config_from_json passes a JSON list as a tuple, anything else as is
+        if not isinstance(items, tuple):
+            raise OutOfRange(
+                f"malformed configuration object: {name} must be a tuple, got {quote(items)}"
+            )
     if len(config.referent) != m or len(config.negating) != m:
         raise OutOfRange(
             f"referent/negating must have length m={m}, "
             f"got {len(config.referent)}/{len(config.negating)}"
         )
-    for i, r in enumerate(config.referent, start=1):
-        if not 1 <= r <= m:
-            raise OutOfRange(f"referent of sentence {i} is {r}, outside 1..{m}")
+    for i, (r, negating) in enumerate(zip(config.referent, config.negating), start=1):
+        check_int(r, f"referent of sentence {i}", 1, m)
+        check_truth_value(negating, f"negation of sentence {i}")
     # Walk the cycle from sentence 1; a single m-cycle visits every sentence
     # exactly once before returning.
     seen = set()
@@ -158,12 +180,6 @@ def config_to_json(config: Configuration) -> str:
             "negating": list(config.negating),
         }
     )
-
-
-def is_json_int(value: object) -> bool:
-    """True for a JSON integer; JSON true/false parse to bool, a subclass of
-    int, and are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def json_fields(obj: object, what: str, keys: tuple[str, ...]) -> list:

@@ -50,12 +50,18 @@ from __future__ import annotations
 
 import math
 import numbers
-import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .config import MAX_SENTENCES, Configuration, check_sentence, check_truth_value, is_json_int
+from .config import (
+    MAX_SENTENCES,
+    Configuration,
+    check_int,
+    check_sentence,
+    check_truth_value,
+    quote,
+)
 from .errors import OutOfRange, SupportOutsideSubspace
 from .inference import reasoning_cycle
 from .statespace import SparseState, TensorIndex, _uniform_amplitude, cycle_states
@@ -82,12 +88,8 @@ def principal_phases(size: int) -> np.ndarray:
 def fourier_frame(size: int) -> np.ndarray:
     """Unitary frame F with F[t, k] = exp(2i*pi*t*k/size)/sqrt(size); column
     k is the shift eigenvector with eigenvalue exp(i * principal_phases[k]).
-    ``size`` is an integer (``is_json_int``) in 1..2 * MAX_SENTENCES."""
-    if not (is_json_int(size) and 1 <= size <= 2 * MAX_SENTENCES):
-        raise OutOfRange(
-            f"frame size must be an integer in 1..{2 * MAX_SENTENCES},"
-            f" got {reprlib.repr(size)}"
-        )
+    ``size`` is an integer in 1..2 * MAX_SENTENCES (``check_int``)."""
+    check_int(size, "frame size", 1, 2 * MAX_SENTENCES)
     import numpy as np
 
     t = np.arange(size)
@@ -113,7 +115,7 @@ def _real(x: object, what: str) -> float:
     so not nan, not an infinity and not an integer past the float range;
     ``what`` names it in the error."""
     if not _is_real(x):
-        raise OutOfRange(f"{what} must be a real number, got {reprlib.repr(x)}")
+        raise OutOfRange(f"{what} must be a real number, got {quote(x)}")
     try:
         if math.isfinite(value := float(x)):
             return value
@@ -219,10 +221,8 @@ def propagate(ev: SubspaceEvolution, state: SparseState, tau: float) -> SparseSt
 
 def apply_steps(ev: SubspaceEvolution, state: SparseState, count: int = 1) -> SparseState:
     """Apply the step permutation ``count`` times, exactly (no floats);
-    ``count`` must be an ``int``, not a bool."""
-    if not is_json_int(count):
-        raise OutOfRange(f"step count must be an integer, got {count!r}")
-    shift = count % ev.size
+    ``count`` is any integer (``check_int``)."""
+    shift = check_int(count, "step count") % ev.size
     moved: dict[TensorIndex, complex] = {}
     for idx, a in state.amplitudes.items():
         moved[ev.basis[(ev.position(idx) + shift) % ev.size]] = a
@@ -302,7 +302,7 @@ def trace_sentences(sentences: Iterable[int] | None, m: int) -> tuple[int, ...]:
         sentences = tuple(sentences)
     except TypeError:
         raise OutOfRange(
-            f"sentences must be an iterable of integers, got {reprlib.repr(sentences)}"
+            f"sentences must be an iterable of integers, got {quote(sentences)}"
         ) from None
     # checked before sorting: a str does not sort with an int, and 1.0 or
     # True would merge with 1
@@ -348,13 +348,17 @@ def _trace_kernel(
     except (TypeError, ValueError):
         raise OutOfRange(
             "initial measurement must be a (sentence, truth value) pair,"
-            f" got {reprlib.repr(initial_measurement)}"
+            f" got {quote(initial_measurement)}"
         ) from None
     sentences = trace_sentences(sentences, m)
     # the range is tested on the value as given, before ``_real``, and the
-    # message quotes it so: -10**400 is out of range, not too large
-    if _is_real(time_scale) and not 0 < time_scale < math.inf:
-        raise OutOfRange(f"time scale must be finite and positive, got {time_scale}")
+    # message quotes it so: -10**400 is out of range, not too large, and a
+    # positive scale whose float is 0.0, such as Fraction(1, 10**400), is out
+    # of range too
+    if _is_real(time_scale) and not (
+        0 < time_scale < math.inf and _real(time_scale, "time scale")
+    ):
+        raise OutOfRange(f"time scale must be finite and positive, got {quote(time_scale)}")
     time_scale = _real(time_scale, "time scale")
     check_truth_value(renormalize, "renormalize")
     walk = reasoning_cycle(config)
@@ -430,19 +434,19 @@ def _grid(t_max: float, dt: float) -> tuple[int, float]:
     """``grid_size(t_max, dt)`` and dt as a float (``_real``)."""
     if not (_is_real(t_max) and _is_real(dt)):
         raise OutOfRange(
-            f"t_max and dt must be real numbers, got t_max={reprlib.repr(t_max)},"
-            f" dt={reprlib.repr(dt)}"
+            f"t_max and dt must be real numbers, got t_max={quote(t_max)},"
+            f" dt={quote(dt)}"
         )
     # as for the time scale, the range is tested and quoted as given
     if not (0 < dt < math.inf and 0 <= t_max < math.inf):
         raise OutOfRange(
-            f"need finite dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}"
+            f"need finite dt > 0 and t_max >= 0, got dt={quote(dt)}, t_max={quote(t_max)}"
         )
     span, step = _real(t_max, "t_max and dt"), _real(dt, "t_max and dt")
     # a positive dt such as Fraction(1, 10**400) is 0.0 as a float
     steps = span / step if step else math.inf
     if not math.isfinite(steps):
-        raise OutOfRange(f"t_max/dt must be finite, got t_max={t_max}, dt={dt}")
+        raise OutOfRange(f"t_max/dt must be finite, got t_max={quote(t_max)}, dt={quote(dt)}")
     return int(math.floor(steps + 1e-9)) + 1, step
 
 
@@ -461,12 +465,8 @@ def time_grid(t_max: float, dt: float) -> tuple[float, ...]:
 
 def check_precision(precision: int, what: str = "precision") -> int:
     """Return ``precision`` if it is a count of significant digits: an
-    integer (``is_json_int``) in 1..17; ``what`` names it in the error."""
-    if not is_json_int(precision):
-        raise OutOfRange(f"{what} must be an integer, got {precision!r}")
-    if not 1 <= precision <= 17:
-        raise OutOfRange(f"{what} must be in 1..17, got {precision}")
-    return precision
+    integer in 1..17 (``check_int``); ``what`` names it in the error."""
+    return check_int(precision, what, 1, 17)
 
 
 def _csv_header(header_lines: Iterable[str]) -> str:
@@ -477,14 +477,14 @@ def _csv_header(header_lines: Iterable[str]) -> str:
     if isinstance(header_lines, str):
         raise OutOfRange(
             "trace header lines must be a sequence of str,"
-            f" got the str {reprlib.repr(header_lines)}"
+            f" got the str {quote(header_lines)}"
         )
     lines = list(header_lines)
     for line in lines:
         if not isinstance(line, str):
-            raise OutOfRange(f"trace header line must be a str, got {reprlib.repr(line)}")
+            raise OutOfRange(f"trace header line must be a str, got {quote(line)}")
         if "\n" in line or "\r" in line:
-            raise OutOfRange(f"trace header line {line!r} holds a line break")
+            raise OutOfRange(f"trace header line {quote(line)} holds a line break")
     return "".join(f"# {line}\n" for line in lines) + "t,sentence,p_true,p_false\n"
 
 
@@ -512,13 +512,13 @@ def trace_to_csv(
 ) -> str:
     """Render rows as CSV: ``t,sentence,p_true,p_false`` with the given
     number of significant digits (``check_precision``); optional comment
-    lines precede the header."""
+    lines precede the header.  Each row's sentence is an integer in
+    1..MAX_SENTENCES (``check_int``)."""
     g = f"%.{check_precision(precision)}g"
     row = f"{g},%d,{g},{g}\n"
     header = _csv_header(header_lines)
     for r in rows:
-        if not is_json_int(r.sentence):
-            raise OutOfRange(f"trace row sentence must be an integer, got {r.sentence!r}")
+        check_int(r.sentence, "trace row sentence", 1, MAX_SENTENCES)
     return header + "".join(row % (r.t, r.sentence, r.p_true, r.p_false) for r in rows)
 
 

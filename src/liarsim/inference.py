@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .config import Configuration, check_sentence, check_truth_value, is_json_int, is_paradoxical
-from .errors import NotParadoxical, OutOfRange
+from .config import Configuration, check_int, check_sentence, check_truth_value, is_paradoxical
+from .errors import NotParadoxical
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,8 @@ class ReasoningCycle:
 
     def hypothesis_at(self, step: int) -> tuple[int, bool]:
         """(sentence, value) hypothesized at 1-based position ``step``,
-        taken cyclically."""
-        if not is_json_int(step):
-            raise OutOfRange(f"step must be an integer, got {step!r}")
-        s = self.steps[(step - 1) % len(self.steps)]
+        taken cyclically; ``step`` is any integer (``check_int``)."""
+        s = self.steps[(check_int(step, "step") - 1) % len(self.steps)]
         return s.sentence, s.value
 
 

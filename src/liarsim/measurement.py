@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import check_sentence, check_truth_value, is_json_int
+from .config import check_int, check_sentence, check_truth_value
 from .errors import OutOfRange
 from .statespace import SparseState, TensorIndex
 
@@ -29,10 +29,10 @@ class ProjectorSpec:
 
 
 def single_entry_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
-    """Rank-one-per-factor projector onto a single entry value."""
+    """Rank-one-per-factor projector onto a single entry value, an integer
+    in 1..2m (``check_int``)."""
     check_sentence(sentence, m)
-    if not (is_json_int(entry) and 1 <= entry <= 2 * m):
-        raise OutOfRange(f"entry {entry!r} outside 1..{2 * m}")
+    check_int(entry, "entry", 1, 2 * m)
     return ProjectorSpec(sentence, frozenset((entry,)), m)
 
 
@@ -50,12 +50,7 @@ def inference_projector(sentence: int, entry: int, m: int) -> ProjectorSpec:
     Inference entries are 1..2m-2; the two hypothesis entries are excluded.
     """
     check_sentence(sentence, m)  # m is an integer before 2m - 2 is formed
-    if not (is_json_int(entry) and 1 <= entry <= 2 * m - 2):
-        raise OutOfRange(
-            f"entry {entry!r} is not an inference entry (1..{2 * m - 2}); "
-            "use the hypothesis projectors for entries "
-            f"{2 * m - 1} and {2 * m}"
-        )
+    check_int(entry, "inference entry", 1, 2 * m - 2)
     return single_entry_projector(sentence, entry, m)
 
 

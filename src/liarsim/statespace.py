@@ -56,16 +56,17 @@ import decimal
 import json
 import math
 import numbers
-import reprlib
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .config import (
+    MAX_SENTENCES,
     Configuration,
+    check_int,
     check_sentence_count,
-    is_json_int,
     json_fields,
     parse_json_fields,
+    quote,
 )
 from .errors import OutOfRange
 from .inference import ReasoningCycle, reasoning_cycle
@@ -75,11 +76,13 @@ EmbeddedIndex = int
 
 
 def check_tensor_index(idx: TensorIndex) -> None:
+    """Reject ``idx`` unless each of its m entries is one of 1..2m
+    (``check_int``)."""
     n = 2 * len(idx)
     for j, e in enumerate(idx, start=1):
         # a plain int skips the call: every state construction checks each entry
-        if not ((type(e) is int or is_json_int(e)) and 1 <= e <= n):
-            raise OutOfRange(f"entry {e!r} at position {j} outside 1..{n}")
+        if not (type(e) is int and 1 <= e <= n):
+            check_int(e, f"entry at position {j}", 1, n)
 
 
 def kappa(idx: TensorIndex) -> EmbeddedIndex:
@@ -105,10 +108,9 @@ def decimal_string(value: int) -> str:
 
 def kappa_inverse(e: EmbeddedIndex, m: int) -> TensorIndex:
     """Invert ``kappa``: mixed-radix digit extraction, most significant
-    digit first."""
-    if not (is_json_int(e) and is_json_int(m) and 1 <= e <= (2 * m) ** m):
-        raise OutOfRange(f"embedded index {e!r} outside 1..(2m)^m for m = {m!r}")
-    n = 2 * m
+    digit first.  ``m`` is a sentence count and ``e`` in 1..(2m)^m."""
+    n = 2 * check_sentence_count(m)
+    check_int(e, "embedded index", 1, n**m)
     rem = e - 1
     digits = []
     for _ in range(m):
@@ -167,34 +169,33 @@ class SparseState:
     An empty map is the distinguished null state (e.g. a zero projection).
     Every amplitude is a ``numbers.Number`` other than a ``bool`` whose
     ``complex`` does not overflow; a str such as "1" is not coerced.
-    m = 0 is the one-dimensional space of the empty tuple; a negative m
-    raises OutOfRange.
+    m = 0 is the one-dimensional space of the empty tuple; an m outside
+    0..MAX_SENTENCES raises OutOfRange (``check_int``).
     """
 
     m: int
     amplitudes: Mapping[TensorIndex, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not is_json_int(self.m) or self.m < 0:
-            raise OutOfRange(f"state has m = {self.m!r} sentences, need an integer m >= 0")
+        check_int(self.m, "state sentence count", 0, MAX_SENTENCES)
         amps = {}
         for idx, a in self.amplitudes.items():
             idx = tuple(idx)
             if len(idx) != self.m:
                 # a bounded prefix: the tuple may be far longer than m
                 raise OutOfRange(
-                    f"tuple {reprlib.repr(idx)} has length {len(idx)}, expected {self.m}"
+                    f"tuple {quote(idx)} has length {len(idx)}, expected {self.m}"
                 )
             check_tensor_index(idx)
             if isinstance(a, bool) or not isinstance(a, numbers.Number):
                 raise OutOfRange(
-                    f"amplitude of tuple {reprlib.repr(idx)} must be a number,"
-                    f" got {reprlib.repr(a)}"
+                    f"amplitude of tuple {quote(idx)} must be a number,"
+                    f" got {quote(a)}"
                 )
             try:
                 amps[idx] = complex(a)
             except OverflowError:
-                raise OutOfRange(f"amplitude of tuple {reprlib.repr(idx)} overflows") from None
+                raise OutOfRange(f"amplitude of tuple {quote(idx)} overflows") from None
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -347,9 +348,10 @@ def state_to_json(state: SparseState, *, extra: Mapping[str, object] | None = No
 def state_from_json(text: str) -> SparseState:
     """Parse the document written by ``state_json_chunks`` (or its reference
     ``state_to_json``), as strictly as ``config_from_json`` parses a
-    configuration: ``m``, ``n`` = 2m and every tuple entry are JSON
-    integers, ``embedded`` is a string equal to the tuple's rank, ``re`` and
-    ``im`` are JSON numbers, and no tuple repeats.
+    configuration: ``m`` in 0..MAX_SENTENCES, ``n`` = 2m and every tuple
+    entry are integers (``check_int``), ``embedded`` is a string equal to
+    the tuple's rank, ``re`` and ``im`` are JSON numbers, and no tuple
+    repeats.
     Nothing is coerced, every fault raises OutOfRange, and unknown keys are
     ignored.  Every term's structure, its length and entries through
     ``SparseState``, is checked before any rank is computed, so a rejected
@@ -357,30 +359,30 @@ def state_from_json(text: str) -> SparseState:
     """
     what = "state document"
     m, n, terms = parse_json_fields(text, what, ("m", "n", "terms"))
-    if not (is_json_int(m) and is_json_int(n) and isinstance(terms, list)):
-        raise OutOfRange(f"malformed {what}: m and n must be integers, terms a list")
-    if n != 2 * m:
-        raise OutOfRange(f"malformed {what}: n = {n} is not 2m = {2 * m}")
+    check_int(m, "state sentence count", 0, MAX_SENTENCES)
+    check_int(n, "entries per sentence", 2 * m, 2 * m)
+    if not isinstance(terms, list):
+        raise OutOfRange(f"malformed {what}: terms must be a list")
     amps: dict[TensorIndex, complex] = {}
     ranks = []
     for term in terms:
         idx, embedded, re, im = json_fields(term, what, ("tuple", "embedded", "re", "im"))
-        if not (isinstance(idx, list) and all(is_json_int(e) for e in idx)):
-            raise OutOfRange(
-                f"malformed {what}: tuple {reprlib.repr(idx)} is not a list of integers"
-            )
+        if not isinstance(idx, list):
+            raise OutOfRange(f"malformed {what}: tuple {quote(idx)} is not a list")
+        # entries first: a bool would merge with 1, and a list is not hashable
+        check_tensor_index(idx)
         idx = tuple(idx)
         if idx in amps:
-            raise OutOfRange(f"malformed {what}: tuple {reprlib.repr(idx)} repeats")
+            raise OutOfRange(f"malformed {what}: tuple {quote(idx)} repeats")
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise OutOfRange(
-                f"malformed {what}: re and im of {reprlib.repr(idx)} must be numbers"
+                f"malformed {what}: re and im of {quote(idx)} must be numbers"
             )
         try:
             amps[idx] = complex(re, im)
         except OverflowError:
             raise OutOfRange(
-                f"malformed {what}: amplitude of {reprlib.repr(idx)} overflows"
+                f"malformed {what}: amplitude of {quote(idx)} overflows"
             ) from None
         ranks.append(embedded)
     # kappa of a tuple longer than m costs time quadratic in its length
@@ -388,7 +390,7 @@ def state_from_json(text: str) -> SparseState:
     for idx, embedded in zip(state.amplitudes, ranks):
         if not isinstance(embedded, str) or decimal_string(kappa(idx)) != embedded:
             raise OutOfRange(
-                f"term {reprlib.repr(idx)} disagrees with its embedded index"
-                f" {reprlib.repr(embedded)}"
+                f"term {quote(idx)} disagrees with its embedded index"
+                f" {quote(embedded)}"
             )
     return state

@@ -26,13 +26,12 @@ from typing import Iterable, Iterator
 from .audit import verify_minimality
 from .config import (
     Configuration,
+    check_int,
     count_paradoxical,
     enumerate_paradoxical,
     eight_liar,
-    is_json_int,
     simple_liar,
 )
-from .errors import OutOfRange
 from .evolution import (
     apply_steps,
     build_evolution,
@@ -392,8 +391,7 @@ def verification_results(m_max: int = 8) -> Iterator[CheckResult]:
     global ``random`` state is left alone and ``numpy.random`` is never
     loaded.
     """
-    if not (is_json_int(m_max) and 1 <= m_max <= 8):
-        raise OutOfRange(f"verification covers 1 <= m_max <= 8, got {m_max!r}")
+    check_int(m_max, "verification m_max", 1, 8)
     rng = random.Random(VERIFY_SEED)
 
     def results() -> Iterator[CheckResult]:

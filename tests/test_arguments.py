@@ -2,6 +2,7 @@
 real-number slot raises OutOfRange with a one-line message, never a
 TypeError, a KeyError or an IndexError, and is never coerced."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liarsim import (
+    Configuration,
     OutOfRange,
     SparseState,
+    UnsupportedDimension,
     apply_steps,
     build_evolution,
     build_initial_state,
@@ -41,7 +44,7 @@ from liarsim.evolution import (
     trace_to_csv,
 )
 from liarsim.inference import infer_next
-from liarsim.statespace import canonical_entry_cycle
+from liarsim.statespace import canonical_entry_cycle, state_from_json
 from liarsim.verify import run_verification
 
 EV = build_evolution(one_liar())
@@ -153,7 +156,7 @@ def _one_line_out_of_range(call, *args):
     with pytest.raises(OutOfRange) as failure:
         call(*args)
     message = str(failure.value)
-    assert len(message.splitlines()) == 1, message
+    assert len(message.splitlines()) == 1 and len(message) <= 200, message[:300]
     return message
 
 
@@ -192,7 +195,10 @@ def test_library_argument_fuzz_raises_out_of_range_never_a_type_error(data):
 # fourier_frame sizes (1.5, True and 1+2j gave a matrix, -1 a
 # RuntimeWarning, the rest a TypeError or a ValueError), SparseState
 # amplitudes ("1" and True stored as 1+0j, None a TypeError, 10**400 an
-# OverflowError) and sentences that are not iterable (a TypeError).
+# OverflowError) and sentences that are not iterable (a TypeError).  Last, a
+# positive time scale whose float is 0.0 (a ZeroDivisionError), the m of
+# kappa_inverse past MAX_SENTENCES (accepted), and a long str in the slots
+# that take any integer and in a state document's m (quoted whole).
 TIMES = "times must be a one-dimensional sequence of real numbers"
 HUGE_TIME = "evolution time must be finite, got one too large for a float"
 HUGE_GRID = "t_max and dt must be finite, got one too large for a float"
@@ -203,40 +209,46 @@ REAL_TIME = "evolution time must be a real number, got "
 FRAME = "frame size must be an integer in 1..8192, got "
 AMPLITUDE = "amplitude of tuple (1,) must be a number, got "
 SENTENCES = "sentences must be an iterable of integers, got "
+SENTENCE = "sentence must be an integer in 1..8, got "
+COUNT = "sentence count must be an integer in 1..4096, got "
+STATE_COUNT = "state sentence count must be an integer in 0..4096, got "
+PRECISION = "precision must be an integer in 1..17, got "
+LONG = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"  # "x" * 100_000
+ZERO_SCALE = "time scale must be finite and positive, got Fraction(1, 1...0000000000000)"
 
 
 @pytest.mark.parametrize(
     "call, args, message",
     [
-        (reasoning_cycle, (eight_liar(), 1.5, True), "sentence 1.5 outside 1..8"),
-        (reasoning_cycle, (eight_liar(), "1", True), "sentence '1' outside 1..8"),
-        (probability_trace, (eight_liar(), (True, True), [0.5]), "sentence True outside 1..8"),
-        (count_paradoxical, (True,), "sentence count must be a positive integer, got True"),
-        (solve_constraints, (True, 2), "need integers m >= 1 and n, got m = True, n = 2"),
-        (solve_constraints, (2, 4.0), "need integers m >= 1 and n, got m = 2, n = 4.0"),
-        (SparseState, (1.5, {}), "state has m = 1.5 sentences, need an integer m >= 0"),
-        (kappa, ((1.5, 2),), "entry 1.5 at position 1 outside 1..4"),
-        (kappa_inverse, (2, True), "embedded index 2 outside 1..(2m)^m for m = True"),
-        (single_entry_projector, (1, 1.5, 2), "entry 1.5 outside 1..4"),
-        (simple_liar, (2.0,), "sentence count must be a positive integer, got 2.0"),
-        (canonical_entry_cycle, (2.0,), "sentence count must be a positive integer, got 2.0"),
+        (reasoning_cycle, (eight_liar(), 1.5, True), SENTENCE + "1.5"),
+        (reasoning_cycle, (eight_liar(), "1", True), SENTENCE + "'1'"),
+        (probability_trace, (eight_liar(), (True, True), [0.5]), SENTENCE + "True"),
+        (count_paradoxical, (True,), COUNT + "True"),
+        (solve_constraints, (True, 2), COUNT + "True"),
+        (solve_constraints, (2, 4.0), "dimension n must be an integer, got 4.0"),
+        (SparseState, (1.5, {}), STATE_COUNT + "1.5"),
+        (kappa, ((1.5, 2),), "entry at position 1 must be an integer in 1..4, got 1.5"),
+        (kappa_inverse, (2, True), COUNT + "True"),
+        (single_entry_projector, (1, 1.5, 2), "entry must be an integer in 1..4, got 1.5"),
+        (simple_liar, (2.0,), COUNT + "2.0"),
+        (canonical_entry_cycle, (2.0,), COUNT + "2.0"),
         (apply_steps, (EV, PSI0, 1.5), "step count must be an integer, got 1.5"),
-        (run_verification, (8.0,), "verification covers 1 <= m_max <= 8, got 8.0"),
-        (verify_minimality, (3.0,), "audit covers 2 <= m <= 4, got 3.0"),
+        (run_verification, (8.0,), "verification m_max must be an integer in 1..8, got 8.0"),
+        (verify_minimality, (3.0,), "audit sentence count must be an integer in 2..4, got 3.0"),
         (WALK.hypothesis_at, (1.5,), "step must be an integer, got 1.5"),
         (WALK.hypothesis_at, (True,), "step must be an integer, got True"),
-        (trace_to_csv, ((), (), 1.5), "precision must be an integer, got 1.5"),
-        (trace_to_csv, ((), (), -1), "precision must be in 1..17, got -1"),
-        (trace_to_csv, ((), (), True), "precision must be an integer, got True"),
+        (trace_to_csv, ((), (), 1.5), PRECISION + "1.5"),
+        (trace_to_csv, ((), (), -1), PRECISION + "-1"),
+        (trace_to_csv, ((), (), True), PRECISION + "True"),
         (
             lambda: trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, precision=1.5),
             (),
-            "precision must be an integer, got 1.5",
+            PRECISION + "1.5",
         ),
         (
             trace_to_csv,
             ([TraceRow(0.0, 1.5, 1.0, 0.0)],),
-            "trace row sentence must be an integer, got 1.5",
+            "trace row sentence must be an integer in 1..4096, got 1.5",
         ),
         (probability_trace, (one_liar(), (1, True), [[0.5]]), TIMES),
         (probability_trace, (one_liar(), (1, True), [[0.5, 1.0]]), TIMES),
@@ -329,7 +341,7 @@ SENTENCES = "sentences must be an iterable of integers, got "
         (
             grid_size,
             (1, Fraction(1, 10**400)),
-            "t_max/dt must be finite, got t_max=1, dt=1/1" + "0" * 400,
+            "t_max/dt must be finite, got t_max=1, dt=Fraction(1, 1...0000000000000)",
         ),
         (fourier_frame, (1.5,), FRAME + "1.5"),
         (fourier_frame, (True,), FRAME + "True"),
@@ -337,7 +349,7 @@ SENTENCES = "sentences must be an iterable of integers, got "
         (fourier_frame, (-1,), FRAME + "-1"),
         (fourier_frame, ("1",), FRAME + "'1'"),
         (fourier_frame, (None,), FRAME + "None"),
-        (fourier_frame, (10**400,), FRAME + "100000000000000000...0000000000000000000"),
+        (fourier_frame, (10**400,), FRAME + "<int of 401 digits>"),
         (SparseState, (1, {(1,): "1"}), AMPLITUDE + "'1'"),
         (SparseState, (1, {(1,): True}), AMPLITUDE + "True"),
         (SparseState, (1, {(1,): None}), AMPLITUDE + "None"),
@@ -357,6 +369,29 @@ SENTENCES = "sentences must be an iterable of integers, got "
             (),
             SENTENCES + "1.5",
         ),
+        (
+            lambda: probability_trace(
+                one_liar(), (1, True), [1], time_scale=Fraction(1, 10**400)
+            ),
+            (),
+            ZERO_SCALE,
+        ),
+        (
+            lambda: trace_csv_chunks(
+                one_liar(), (1, True), 0, 0.5, time_scale=Fraction(1, 10**400)
+            ),
+            (),
+            ZERO_SCALE,
+        ),
+        (kappa_inverse, (1, 4097), COUNT + "4097"),
+        (apply_steps, (EV, PSI0, "x" * 100_000), "step count must be an integer, got " + LONG),
+        (WALK.hypothesis_at, ("x" * 100_000,), "step must be an integer, got " + LONG),
+        (solve_constraints, (2, "x" * 100_000), "dimension n must be an integer, got " + LONG),
+        (
+            state_from_json,
+            (json.dumps({"m": "x" * 100_000, "n": 2, "terms": []}),),
+            STATE_COUNT + LONG,
+        ),
     ],
 )
 def test_found_misuse_is_a_one_line_out_of_range(call, args, message):
@@ -369,7 +404,7 @@ def test_a_float_sentence_is_refused_not_written_as_a_float():
     message = _one_line_out_of_range(
         lambda: trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, sentences=[1.0])
     )
-    assert message == "sentence 1.0 outside 1..8"
+    assert message == "sentence must be an integer in 1..8, got 1.0"
     chunked = "".join(trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, sentences=[1]))
     rows = probability_trace(eight_liar(), (1, True), [0.0, 0.5], sentences=[1])
     assert chunked == trace_to_csv(rows)
@@ -387,3 +422,96 @@ def test_a_time_is_read_as_its_float():
     # an integral tau keeps the exact route, past 2**53 too
     assert propagate(EV, START, 2**60 + 1) == apply_steps(EV, START, 2**60 + 1)
     assert propagate(EV, START, 2**60 + 1) != propagate(EV, START, 2**60)
+
+
+# Every integer slot, by the call and the start of its message: a value that
+# is not an integer in its range, however long, is quoted in a short line.
+# repr refused an integer past 4,300 digits (a ValueError) and quoted a
+# str whole (100,040 characters).
+INTEGER_SLOTS = {
+    "count_paradoxical": (count_paradoxical, COUNT),
+    "enumerate_paradoxical": (lambda v: next(enumerate_paradoxical(v)), COUNT),
+    "simple_liar": (simple_liar, COUNT),
+    "canonical_entry_cycle": (canonical_entry_cycle, COUNT),
+    "Configuration-m": (lambda v: Configuration(v, (1,), (True,)), COUNT),
+    "Configuration-referent": (
+        lambda v: Configuration(1, (v,), (True,)),
+        "referent of sentence 1 must be an integer in 1..1, got ",
+    ),
+    "solve_constraints-m": (lambda v: solve_constraints(v, 4), COUNT),
+    "verify_minimality": (
+        verify_minimality,
+        "audit sentence count must be an integer in 2..4, got ",
+    ),
+    "run_verification": (
+        run_verification,
+        "verification m_max must be an integer in 1..8, got ",
+    ),
+    "SparseState-m": (lambda v: SparseState(v, {}), STATE_COUNT),
+    "SparseState-entry": (
+        lambda v: SparseState(2, {(1, v): 1.0}),
+        "entry at position 2 must be an integer in 1..4, got ",
+    ),
+    "kappa": (lambda v: kappa((v, 2)), "entry at position 1 must be an integer in 1..4, got "),
+    "kappa_inverse-index": (
+        lambda v: kappa_inverse(v, 2),
+        "embedded index must be an integer in 1..16, got ",
+    ),
+    "kappa_inverse-m": (lambda v: kappa_inverse(1, v), COUNT),
+    "single_entry_projector-sentence": (
+        lambda v: single_entry_projector(v, 1, 2),
+        "sentence must be an integer in 1..2, got ",
+    ),
+    "single_entry_projector-entry": (
+        lambda v: single_entry_projector(1, v, 2),
+        "entry must be an integer in 1..4, got ",
+    ),
+    "single_entry_projector-m": (lambda v: single_entry_projector(1, 1, v), COUNT),
+    "inference_projector-entry": (
+        lambda v: inference_projector(1, v, 2),
+        "inference entry must be an integer in 1..2, got ",
+    ),
+    "hypothesis_projector-m": (lambda v: hypothesis_projector(1, True, v), COUNT),
+    "reasoning_cycle": (lambda v: reasoning_cycle(eight_liar(), v, True), SENTENCE),
+    "step_of": (lambda v: WALK.step_of(v, True), SENTENCE),
+    "infer_next": (lambda v: infer_next(eight_liar(), v, True), SENTENCE),
+    "probability_trace-start": (
+        lambda v: probability_trace(eight_liar(), (v, True), [0.5]),
+        SENTENCE,
+    ),
+    "probability_trace-sentences": (
+        lambda v: probability_trace(eight_liar(), (1, True), [0.5], sentences=[1, v]),
+        SENTENCE,
+    ),
+    "trace_csv_chunks-precision": (
+        lambda v: trace_csv_chunks(eight_liar(), (1, True), 0.5, 0.5, precision=v),
+        PRECISION,
+    ),
+    "trace_to_csv-precision": (lambda v: trace_to_csv((), precision=v), PRECISION),
+    "trace_to_csv-sentence": (
+        lambda v: trace_to_csv([TraceRow(0.0, v, 1.0, 0.0)]),
+        "trace row sentence must be an integer in 1..4096, got ",
+    ),
+    "fourier_frame": (fourier_frame, FRAME),
+}
+LONG_VALUES = {
+    "huge": (10**5000, "<int of 5001 digits>"),
+    "negative-huge": (-(10**5000), "<negative int of 5001 digits>"),
+    "long-str": ("x" * 100_000, LONG),
+}
+
+
+@pytest.mark.parametrize("value", sorted(LONG_VALUES))
+@pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS))
+def test_a_long_value_in_an_integer_slot_is_quoted_short(slot, value):
+    call, message = INTEGER_SLOTS[slot]
+    value, quoted = LONG_VALUES[value]
+    assert _one_line_out_of_range(call, value) == message + quoted
+
+
+def test_a_huge_dimension_is_quoted_short():
+    with pytest.raises(UnsupportedDimension) as failure:
+        solve_constraints(2, 10**5000)
+    assert str(failure.value) == (
+        "audit covers n = 2m and n = 2m-1 only, got n=<int of 5001 digits> for m=2"
+    )

@@ -76,8 +76,8 @@ def test_sentence_count_over_the_bound_exits_one(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"liarsim: error: sentence count {MAX_SENTENCES + 1}"
-            f" exceeds MAX_SENTENCES = {MAX_SENTENCES}"
+            f"liarsim: error: sentence count must be an integer in 1..{MAX_SENTENCES},"
+            f" got {MAX_SENTENCES + 1}"
         ]
     assert not target.exists()
 
@@ -131,6 +131,100 @@ def test_state_rejects_non_paradoxical(capsys):
 def test_state_rejects_missing_file(capsys):
     assert main(["state", "--config", "no-such-file.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+NINES = "9" * 4000  # an int() argparse takes; 5,000 digits it refuses
+MANY_NINES = "9" * 5000
+NINES_QUOTED = "<int of 4000 digits>"
+TEXT_QUOTED = "'999999999999...9999999999999'"
+ERR = "liarsim: error: "
+TRACE_ERR = "liarsim trace: error: "
+
+
+@pytest.mark.parametrize(
+    "argv, precision, message",
+    [
+        (
+            ["check-dim", "--m", NINES],
+            None,
+            ERR + "audit sentence count must be an integer in 2..4, got " + NINES_QUOTED,
+        ),
+        (
+            ["verify", "--m-max", NINES],
+            None,
+            ERR + "verification m_max must be an integer in 1..8, got " + NINES_QUOTED,
+        ),
+        (
+            ["count", "--m", NINES],
+            None,
+            ERR + "sentence count must be an integer in 1..4096, got " + NINES_QUOTED,
+        ),
+        (
+            ["state", "--config", "simple:" + NINES],
+            None,
+            ERR + "sentence count must be an integer in 1..4096, got " + NINES_QUOTED,
+        ),
+        (
+            ["state", "--config", "simple:" + MANY_NINES],
+            None,
+            ERR + "expected simple:<m> with an integer m, got 'simple:99999...9999999999999'",
+        ),
+        (
+            ["trace", "--config", "eight-liar", "--sentences", "1," + NINES],
+            None,
+            ERR + "sentence must be an integer in 1..8, got " + NINES_QUOTED,
+        ),
+        (
+            ["trace", "--config", "eight-liar", "--start", NINES + ":T"],
+            None,
+            ERR + "sentence must be an integer in 1..8, got " + NINES_QUOTED,
+        ),
+        (
+            ["trace", "--config", "eight-liar", "--start", MANY_NINES + ":T"],
+            None,
+            TRACE_ERR
+            + "argument --start: expected <sentence>:<T|F>, got '999999999999...99999999999:T'",
+        ),
+        (
+            ["trace", "--config", "eight-liar", "--sentences", MANY_NINES],
+            None,
+            TRACE_ERR
+            + "argument --sentences: expected comma-separated sentence numbers, got "
+            + TEXT_QUOTED,
+        ),
+        (
+            ["trace", "--config", "eight-liar", "--time-scale", "x" + MANY_NINES],
+            None,
+            TRACE_ERR
+            + "argument --time-scale: expected a finite positive number, pi or pi/<d>,"
+            " got 'x99999999999...9999999999999'",
+        ),
+        (
+            ["trace", "--config", "one-liar"],
+            NINES,
+            ERR + "LIARSIM_PRECISION must be an integer in 1..17, got " + NINES_QUOTED,
+        ),
+        (
+            ["trace", "--config", "one-liar"],
+            MANY_NINES,
+            ERR + "LIARSIM_PRECISION must be an integer, got " + TEXT_QUOTED,
+        ),
+    ],
+    ids=[
+        "check-dim", "verify", "count", "simple", "simple-not-int", "sentences",
+        "start", "start-not-int", "sentences-not-int", "time-scale", "precision",
+        "precision-not-int",
+    ],
+)
+def test_a_long_value_is_quoted_in_a_short_error_line(argv, precision, message, capsys):
+    # each line quoted the whole value: 4,038 to 5,068 characters
+    env = {} if precision is None else {"LIARSIM_PRECISION": precision}
+    with mock.patch.dict(os.environ, env):
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+    assert len(message) < 200
 
 
 @pytest.mark.parametrize("spec", ["simple:x", "simple:", "simple:1.5"])
@@ -447,7 +541,7 @@ def test_trace_refuses_a_config_with_a_line_break_that_state_accepts(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"liarsim: error: trace header line {'config=' + inline!r} holds a line break"
+        "liarsim: error: trace header line 'config={\"m\":...ing\": [true]}' holds a line break"
     ]
     assert not target.exists()
     assert main(["state", "--config", inline]) == 0

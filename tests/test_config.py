@@ -43,8 +43,9 @@ def test_sentence_count_bound():
         lambda: list(enumerate_paradoxical(big)),
         lambda: canonical_entry_cycle(big),
     ):
-        with pytest.raises(OutOfRange, match="exceeds MAX_SENTENCES"):
+        with pytest.raises(OutOfRange) as failure:
             reject()
+        assert str(failure.value) == "sentence count must be an integer in 1..4096, got 4097"
     assert simple_liar(MAX_SENTENCES).m == MAX_SENTENCES
     assert count_paradoxical(MAX_SENTENCES) == (
         math.factorial(MAX_SENTENCES - 1) * 2 ** (MAX_SENTENCES - 1)
@@ -96,21 +97,27 @@ def test_invalid_configuration_cannot_be_built(m, referent, negating, error):
 
 
 @pytest.mark.parametrize(
-    "m,referent,negating",
+    "m,referent,negating,message",
     [
-        (2.0, (2, 1), (True, False)),
-        (True, (1,), (True,)),
-        (2, [2, 1], [True, False]),
-        (2, (2, 1), (1, 0)),
-        (1, (True,), (True,)),
+        (2.0, (2, 1), (True, False), "sentence count must be an integer in 1..4096, got 2.0"),
+        (True, (1,), (True,), "sentence count must be an integer in 1..4096, got True"),
+        (
+            2,
+            [2, 1],
+            [True, False],
+            "malformed configuration object: referent must be a tuple, got [2, 1]",
+        ),
+        (2, (2, 1), (1, 0), "negation of sentence 1 must be True or False, got 1"),
+        (1, (True,), (True,), "referent of sentence 1 must be an integer in 1..1, got True"),
     ],
     ids=["float-m", "bool-m", "lists", "int-negations", "bool-referent"],
 )
-def test_configuration_checks_types(m, referent, negating):
+def test_configuration_checks_types(m, referent, negating, message):
     # nothing is coerced: each input is OutOfRange, not a TypeError or a
     # configuration that is not hashable
-    with pytest.raises(OutOfRange, match="malformed configuration object"):
+    with pytest.raises(OutOfRange) as failure:
         Configuration(m, referent, negating)
+    assert str(failure.value) == message
 
 
 def test_paradox_parity():

@@ -105,7 +105,7 @@ def test_lookup_helpers():
 
 
 def test_step_of_rejects_a_sentence_outside_the_cycle():
-    with pytest.raises(OutOfRange, match=r"^sentence 9 outside 1\.\.8$"):
+    with pytest.raises(OutOfRange, match=r"^sentence must be an integer in 1\.\.8, got 9$"):
         reasoning_cycle(eight_liar()).step_of(9, True)
 
 

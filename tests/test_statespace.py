@@ -369,7 +369,7 @@ _LONG = [2] * 32000
         ),
         (
             lambda: state_from_json(json.dumps(_state_term(tuple=[*_LONG, 1.5]))),
-            "tuple [2, 2, 2, 2, 2, 2, ...] is not",
+            "entry at position 32001 must be an integer in 1..64002, got 1.5",
         ),
         (
             lambda: state_from_json(
