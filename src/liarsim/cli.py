@@ -10,6 +10,15 @@ deterministic given its arguments, and trace/state outputs echo the
 resolved run manifest in their header so a rerun can be reproduced from
 the artifact alone.
 
+Every integer the command line takes as text (``--m``, ``--m-max``, the
+sentence of ``--start``, each of ``--sentences``, the m of ``simple:<m>`` and
+``LIARSIM_PRECISION``) is read by one rule, ``int_text``: text in JSON's
+integer grammar becomes an ``int``, and any other text is passed on for the
+slot's ``check_int`` to refuse under the slot's name.  ``--t-max`` and
+``--dt`` are read by ``real_text``, in ``float``'s own spelling.  Each
+refusal is one line that quotes the text through ``config.quote``, so a
+long value gives a short line.
+
 Run as the program (``main()`` with no ``argv``), it sets
 ``OPENBLAS_NUM_THREADS=1`` unless the variable is already set, since no
 command makes a BLAS call that threads would help; library imports and
@@ -29,6 +38,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 from dataclasses import astuple
 
@@ -52,6 +62,7 @@ PRECISION_ENV = "LIARSIM_PRECISION"
 # Longest --config file read, in characters (/dev/zero must not fill memory);
 # a 4,096-sentence configuration is under 200 KB even when indented.
 MAX_CONFIG_BYTES = 2**20
+NAMED_CONFIGS = {"one-liar": one_liar, "eight-liar": eight_liar}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,38 +79,44 @@ def resolve_config(spec: str) -> Configuration:
     Names: ``one-liar``, ``eight-liar``, ``simple:<m>`` (single negation).
     """
     text = spec.strip()
-    if text == "one-liar":
-        return one_liar()
-    if text == "eight-liar":
-        return eight_liar()
+    if text in NAMED_CONFIGS:
+        return NAMED_CONFIGS[text]()
     if text.startswith("simple:"):
-        try:
-            m = int(text.split(":", 1)[1])
-        except ValueError:
-            raise OutOfRange(
-                f"expected simple:<m> with an integer m, got {quote(spec)}"
-            ) from None
-        return simple_liar(m)
-    if text.startswith("{"):
-        return config_from_json(text)
-    with open(spec, encoding="utf-8") as fh:
-        text = fh.read(MAX_CONFIG_BYTES + 1)
-    if len(text) > MAX_CONFIG_BYTES:
-        raise OutOfRange(f"config file is longer than {MAX_CONFIG_BYTES} characters")
+        return simple_liar(int_text(text.removeprefix("simple:")))
+    if not text.startswith("{"):
+        with open(spec, encoding="utf-8") as fh:
+            text = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(text) > MAX_CONFIG_BYTES:
+            raise OutOfRange(f"config file is longer than {MAX_CONFIG_BYTES} characters")
     return config_from_json(text)
 
 
-def parse_start(text: str) -> tuple[int, bool]:
-    """Parse the initial measurement, e.g. ``1:T`` or ``3:F``."""
+def int_text(text: str) -> int | str:
+    """``text`` as an ``int`` when it is written in JSON's integer grammar (an
+    optional minus and ASCII digits without a leading zero, at most 4,300 of
+    them, ``int``'s limit), else ``text`` unchanged.  The slot it fills runs
+    ``check_int``, which refuses the text under the slot's own name, so
+    ``+5``, ``012``, ``1_0``, `` 5`` and ``١٢`` are refused where ``int``
+    would take them."""
+    return int(text) if re.fullmatch(r"-?(?:0|[1-9][0-9]{0,4299})", text) else text
+
+
+def real_text(text: str) -> float:
+    """``text`` as ``float`` reads it; other text is a one-line argparse
+    error that quotes it through ``quote``."""
     try:
-        sentence, value = text.split(":")
-        if value.upper() not in ("T", "F"):
-            raise ValueError(value)
-        return int(sentence), value.upper() == "T"
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected <sentence>:<T|F>, got {quote(text)}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected a real number, got {quote(text)}") from None
+
+
+def parse_start(text: str) -> tuple[int | str, bool]:
+    """Parse the initial measurement, e.g. ``1:T`` or ``3:F``; the sentence
+    is read by ``int_text``."""
+    sentence, _, value = text.partition(":")
+    if value.upper() not in ("T", "F"):
+        raise argparse.ArgumentTypeError(f"expected <sentence>:<T|F>, got {quote(text)}")
+    return int_text(sentence), value.upper() == "T"
 
 
 def parse_time_scale(text: str) -> float:
@@ -122,24 +139,14 @@ def parse_time_scale(text: str) -> float:
     return scale
 
 
-def parse_sentences(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated sentence numbers, got {quote(text)}"
-        ) from None
+def parse_sentences(text: str) -> tuple[int | str, ...]:
+    """Comma-separated sentences, each read by ``int_text``."""
+    return tuple(int_text(x) for x in text.split(","))
 
 
 def output_precision() -> int:
     raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        p = int(raw)
-    except ValueError:
-        raise OutOfRange(f"{PRECISION_ENV} must be an integer, got {quote(raw)}") from None
-    return check_precision(p, PRECISION_ENV)
+    return DEFAULT_PRECISION if raw is None else check_precision(int_text(raw), PRECISION_ENV)
 
 
 @contextlib.contextmanager
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("count", help="count paradoxical configurations of size m")
-    p.add_argument("--m", type=int, required=True, help="number of sentences")
+    p.add_argument("--m", type=int_text, required=True, help="number of sentences")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("state", help="write the unreasoned superposition state")
@@ -318,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--t-max",
-        type=float,
+        type=real_text,
         help="last time (default two full cycles, 4m x time scale; at time scale 1"
         " and the default --dt, a trace of all sentences exceeds MAX_TRACE_ROWS"
         " from m = 3536 up)",
     )
-    p.add_argument("--dt", type=float, default=0.05, help="time step (default 0.05)")
+    p.add_argument("--dt", type=real_text, default=0.05, help="time step (default 0.05)")
     p.add_argument(
         "--time-scale",
         type=parse_time_scale,
@@ -345,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("check-dim", help="audit the minimal per-sentence dimension")
-    p.add_argument("--m", type=int, required=True, help=f"2..{AUDIT_BOUND}")
+    p.add_argument("--m", type=int_text, required=True, help=f"2..{AUDIT_BOUND}")
     p.set_defaults(func=cmd_check_dim)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--m-max", type=int, default=8, help="largest size exercised")
+    p.add_argument("--m-max", type=int_text, default=8, help="largest size exercised")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -376,7 +383,13 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 0
     except (LiarSimError, OSError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError
+        # The ValueErrors that reach here are all input errors: text that is
+        # not JSON (json.JSONDecodeError), a --config file that is not UTF-8
+        # (UnicodeDecodeError) and a path holding a NUL ("embedded null byte").
+        # An OSError names its path through ``quote``, as every value in an
+        # error line is named, so a long path gives a short line.
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {quote(exc.filename)}"
         print(f"liarsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -195,12 +195,17 @@ def json_fields(obj: object, what: str, keys: tuple[str, ...]) -> list:
 
 def parse_json_fields(text: str, what: str, keys: tuple[str, ...]) -> list:
     """``json_fields`` of the JSON document ``text``.  Nesting too deep for
-    the parser is OutOfRange, not RecursionError; text that is not JSON
-    raises json.JSONDecodeError."""
+    the parser and an integer past ``int``'s 4,300 digits are OutOfRange,
+    not RecursionError or ValueError; text that is not JSON raises
+    json.JSONDecodeError."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise OutOfRange(f"malformed {what}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int's limit on the digits it converts
+        raise OutOfRange(f"malformed {what}: a JSON integer has more than 4300 digits") from None
     return json_fields(obj, what, keys)
 
 

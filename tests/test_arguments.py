@@ -44,6 +44,7 @@ from liarsim.evolution import (
     trace_to_csv,
 )
 from liarsim.inference import infer_next
+from liarsim.config import config_from_json
 from liarsim.statespace import canonical_entry_cycle, state_from_json
 from liarsim.verify import run_verification
 
@@ -114,7 +115,11 @@ CALLS = {
     ),
 }
 
+# text no slot may read as a number: long, a NUL, Arabic-Indic digits and
+# the underscore spelling that int and float accept
+HOSTILE_TEXT = st.sampled_from(["x" * 100_000, "\0", "١٢", "1_0"])
 NOT_AN_INT = st.one_of(
+    HOSTILE_TEXT,
     st.floats(),
     st.integers(-3, 10).map(float),  # integral floats such as 2.0
     st.booleans(),
@@ -124,6 +129,7 @@ NOT_AN_INT = st.one_of(
     st.integers(-3, 10).map(np.int32),
 )
 NOT_A_BOOL = st.one_of(
+    HOSTILE_TEXT,
     st.floats(),
     st.integers(-2, 3),
     st.text(max_size=3),
@@ -134,6 +140,7 @@ NOT_A_BOOL = st.one_of(
 # every float is a real number; integers past the float range are refused
 # as too large
 NOT_A_REAL = st.one_of(
+    HOSTILE_TEXT,
     st.text(max_size=3),
     st.none(),
     st.booleans(),
@@ -514,4 +521,34 @@ def test_a_huge_dimension_is_quoted_short():
         solve_constraints(2, 10**5000)
     assert str(failure.value) == (
         "audit covers n = 2m and n = 2m-1 only, got n=<int of 5001 digits> for m=2"
+    )
+
+
+# Each integer field of the two JSON readers, as a document with "@" in the
+# field's place and the field's valid value.
+def _state_document(tuple_entry="1", re="1", im="0"):
+    term = f'{{"tuple": [{tuple_entry}], "embedded": "1", "re": {re}, "im": {im}}}'
+    return '{"m": 1, "n": 2, "terms": [' + term + "]}"
+
+
+JSON_INTEGER_FIELDS = {
+    "config-m": (config_from_json, '{"m": @, "referent": [1], "negating": [true]}', "1"),
+    "config-referent": (config_from_json, '{"m": 1, "referent": [@], "negating": [true]}', "1"),
+    "state-m": (state_from_json, '{"m": @, "n": 2, "terms": []}', "1"),
+    "state-n": (state_from_json, '{"m": 1, "n": @, "terms": []}', "2"),
+    "state-tuple": (state_from_json, _state_document(tuple_entry="@"), "1"),
+    "state-re": (state_from_json, _state_document(re="@"), "1"),
+    "state-im": (state_from_json, _state_document(im="@"), "0"),
+}
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("field", sorted(JSON_INTEGER_FIELDS))
+def test_a_json_integer_past_the_digit_limit_is_out_of_range(field, sign):
+    # json.loads raised int's ValueError on 4,301 digits and more
+    call, document, valid = JSON_INTEGER_FIELDS[field]
+    call(document.replace("@", valid))
+    what = "configuration object" if call is config_from_json else "state document"
+    assert _one_line_out_of_range(call, document.replace("@", sign + "9" * 5001)) == (
+        f"malformed {what}: a JSON integer has more than 4300 digits"
     )

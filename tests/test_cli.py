@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import errno
 import io
 import json
 import math
@@ -29,13 +31,16 @@ from liarsim import (
 )
 from liarsim.cli import (
     MAX_CONFIG_BYTES,
+    build_parser,
+    int_text,
     main,
     parse_sentences,
     parse_start,
     parse_time_scale,
+    real_text,
     resolve_config,
 )
-from liarsim.config import MAX_SENTENCES, config_to_json, simple_liar
+from liarsim.config import MAX_SENTENCES, config_to_json, quote, simple_liar
 from liarsim.evolution import _TRACE_BLOCK_ROWS, MAX_TRACE_ROWS, grid_size, trace_csv_chunks
 from liarsim.statespace import (
     canonical_entry_cycle,
@@ -133,10 +138,35 @@ def test_state_rejects_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_nul_in_a_path_exits_one_in_one_line(tmp_path, capsys):
+    for argv in (
+        ["state", "--config", "config\0.json"],
+        ["state", "--config", "one-liar", "--out", str(tmp_path / "out\0.json")],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["liarsim: error: embedded null byte"]
+
+
+def test_a_config_file_that_is_not_utf8_exits_one_in_one_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"m": 1, "referent": [1], "negating": [true]}\xff')
+    assert main(["state", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "liarsim: error: 'utf-8' codec can't decode byte 0xff in position 45:"
+        " invalid start byte"
+    ]
+
+
 NINES = "9" * 4000  # an int() argparse takes; 5,000 digits it refuses
 MANY_NINES = "9" * 5000
 NINES_QUOTED = "<int of 4000 digits>"
 TEXT_QUOTED = "'999999999999...9999999999999'"
+X_QUOTED = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
 ERR = "liarsim: error: "
 TRACE_ERR = "liarsim trace: error: "
 
@@ -167,7 +197,7 @@ TRACE_ERR = "liarsim trace: error: "
         (
             ["state", "--config", "simple:" + MANY_NINES],
             None,
-            ERR + "expected simple:<m> with an integer m, got 'simple:99999...9999999999999'",
+            ERR + "sentence count must be an integer in 1..4096, got " + TEXT_QUOTED,
         ),
         (
             ["trace", "--config", "eight-liar", "--sentences", "1," + NINES],
@@ -182,15 +212,12 @@ TRACE_ERR = "liarsim trace: error: "
         (
             ["trace", "--config", "eight-liar", "--start", MANY_NINES + ":T"],
             None,
-            TRACE_ERR
-            + "argument --start: expected <sentence>:<T|F>, got '999999999999...99999999999:T'",
+            ERR + "sentence must be an integer in 1..8, got " + TEXT_QUOTED,
         ),
         (
             ["trace", "--config", "eight-liar", "--sentences", MANY_NINES],
             None,
-            TRACE_ERR
-            + "argument --sentences: expected comma-separated sentence numbers, got "
-            + TEXT_QUOTED,
+            ERR + "sentence must be an integer in 1..8, got " + TEXT_QUOTED,
         ),
         (
             ["trace", "--config", "eight-liar", "--time-scale", "x" + MANY_NINES],
@@ -207,13 +234,49 @@ TRACE_ERR = "liarsim trace: error: "
         (
             ["trace", "--config", "one-liar"],
             MANY_NINES,
-            ERR + "LIARSIM_PRECISION must be an integer, got " + TEXT_QUOTED,
+            ERR + "LIARSIM_PRECISION must be an integer in 1..17, got " + TEXT_QUOTED,
+        ),
+        (
+            ["check-dim", "--m", MANY_NINES],
+            None,
+            ERR + "audit sentence count must be an integer in 2..4, got " + TEXT_QUOTED,
+        ),
+        (
+            ["verify", "--m-max", MANY_NINES],
+            None,
+            ERR + "verification m_max must be an integer in 1..8, got " + TEXT_QUOTED,
+        ),
+        (
+            ["count", "--m", MANY_NINES],
+            None,
+            ERR + "sentence count must be an integer in 1..4096, got " + TEXT_QUOTED,
+        ),
+        (
+            ["trace", "--config", "one-liar", "--dt", "x" * 5000],
+            None,
+            TRACE_ERR + "argument --dt: expected a real number, got " + X_QUOTED,
+        ),
+        (
+            ["trace", "--config", "one-liar", "--t-max", "x" * 5000],
+            None,
+            TRACE_ERR + "argument --t-max: expected a real number, got " + X_QUOTED,
+        ),
+        (
+            ["state", "--config", "x" * 5000],
+            None,
+            ERR + TOO_LONG + X_QUOTED,
+        ),
+        (
+            ["state", "--config", "one-liar", "--out", "x" * 5000],
+            None,
+            ERR + TOO_LONG + X_QUOTED,
         ),
     ],
     ids=[
         "check-dim", "verify", "count", "simple", "simple-not-int", "sentences",
         "start", "start-not-int", "sentences-not-int", "time-scale", "precision",
-        "precision-not-int",
+        "precision-not-int", "check-dim-not-int", "verify-not-int", "count-not-int",
+        "dt-not-real", "t-max-not-real", "config-path", "out-path",
     ],
 )
 def test_a_long_value_is_quoted_in_a_short_error_line(argv, precision, message, capsys):
@@ -227,13 +290,19 @@ def test_a_long_value_is_quoted_in_a_short_error_line(argv, precision, message, 
     assert len(message) < 200
 
 
-@pytest.mark.parametrize("spec", ["simple:x", "simple:", "simple:1.5"])
+@pytest.mark.parametrize(
+    "spec",
+    ["simple:x", "simple:", "simple:1.5", "simple:012", "simple:+5", "simple:1_0", "simple:١٢"],
+)
 def test_simple_spec_without_an_integer_names_the_spec(spec, capsys):
+    # only the canonical spelling of m is read, so the manifest that echoes
+    # the spec names each m one way
     assert main(["trace", "--config", spec]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    m = spec.removeprefix("simple:")
     assert captured.err.splitlines() == [
-        f"liarsim: error: expected simple:<m> with an integer m, got {spec!r}"
+        f"liarsim: error: sentence count must be an integer in 1..4096, got {m!r}"
     ]
 
 
@@ -1261,62 +1330,81 @@ def test_trace_bytes_repeat_with_the_period_and_swap_at_the_half_period(config, 
             assert row[2:] == later[::-1], row
 
 
-# Edge values for the argv fuzzer.  Every grid they can form is under 10^4
-# rows (the largest: eight-liar over its default span at scale pi/2, dt 0.05,
-# 8,048 rows) or is rejected before any work.
-EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "1.5", "x", ""]
-FUZZ_VALUES = {
-    "--m": EDGE_NUMBERS + ["1", "5", str(MAX_SENTENCES + 1)],
-    "--config": [
-        "one-liar", "eight-liar", "simple:3", "simple:0", "simple:-1",
-        f"simple:{MAX_SENTENCES + 1}",
-        "simple:nan", "simple:1.5", "no-such-file.json", "{",
-        '{"m": 1.9, "referent": [1], "negating": [true]}',
-        '{"m": 2, "referent": [2, 1], "negating": [true, true]}',
-        '{"m": ' + "[" * 50000,
-    ],
-    "--start": ["1:T", "2:F", "9:T", "0:T", "-1:F", "1:X", "x"],
-    "--t-max": EDGE_NUMBERS,
-    "--dt": EDGE_NUMBERS,
-    "--time-scale": EDGE_NUMBERS + ["pi", "pi/0", "pi/2", "pi/-1", "1.3"],
-    "--sentences": ["1", "3,1", "1,1", "0", "9", "-1", "x", ""],
-}
-FUZZ_OPTIONS = {
-    "count": ["--m"],
-    "state": ["--config", "--out"],
-    "trace": ["--config", "--start", "--t-max", "--dt", "--time-scale",
-              "--sentences", "--raw-collapse", "--gnuplot", "--out"],
-}
+# The argv fuzzer's values.  Each is a core token, sometimes wrapped in the
+# spelling of one slot (simple:<m>, <sentence>:<T|F>, a sentence list), and
+# any of them may fill any option.  The valid cores are small (m <= 8, no real
+# above 8), so every grid they can form is under 10^5 rows or is refused
+# before any work; relative paths land in the test's own directory.
+VALID_TOKENS = [
+    "1", "2", "3", "5", "8", "0.5", "1.5", "pi", "pi/2",
+    "one-liar", "eight-liar", "-", "out", "no-such-dir/out",
+]
+HOSTILE_TOKENS = [
+    "9" * 5000, "x" * 100_000, "\0", "١٢", "1_0", "+5", " 5", "012", "nan", "-0",
+    "1e309", "0", "-1", "inf", "1e-308", "", "{", '{"m": ' + "[" * 50000,
+    '{"m": 2, "referent": [2, 1], "negating": [true, true]}',
+    '{"m": ' + "9" * 5001 + ', "referent": [1], "negating": [true]}',
+]
+TOKEN_WRAPPERS = ["{}", "{}", "simple:{}", "{}:T", "{}:f", "1,{}"]
+FUZZ_VALUE = st.builds(
+    str.format,
+    st.sampled_from(TOKEN_WRAPPERS),
+    st.sampled_from(VALID_TOKENS + HOSTILE_TOKENS),
+)
+# an environment cannot hold a NUL, so LIARSIM_PRECISION draws every other core
+FUZZ_PRECISION = st.sampled_from([t for t in VALID_TOKENS + HOSTILE_TOKENS if "\0" not in t])
+
+
+def _commands(parser):
+    """Each subcommand of ``parser`` with its options: (option, takes a value)."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [
+            (action.option_strings[-1], action.nargs != 0)
+            for action in command._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        ]
+        for name, command in sub.choices.items()
+    }
+
+
+FUZZ_COMMANDS = _commands(build_parser())
+
+
+def test_the_fuzzer_draws_every_command_and_option():
+    assert sorted(FUZZ_COMMANDS) == ["check-dim", "count", "state", "trace", "verify"]
+    assert ("--m-max", True) in FUZZ_COMMANDS["verify"]
+    assert ("--raw-collapse", False) in FUZZ_COMMANDS["trace"]
 
 
 @settings(
     max_examples=300,
     deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_cli_argv_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path, data):
-    paths = ["-", str(tmp_path / "out"), str(tmp_path / "no-such-dir" / "out")]
-    command = data.draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+def test_cli_argv_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     argv = [command]
-    for option in FUZZ_OPTIONS[command]:
-        if option == "--raw-collapse":
+    for option, takes_value in FUZZ_COMMANDS[command]:
+        if not takes_value:
             argv += data.draw(st.sampled_from([[], [option]]))
             continue
-        # two default cycles of the eight-liar at scale pi are 16,088 rows
-        values = FUZZ_VALUES.get(option, paths)
-        if option == "--time-scale" and "--t-max" not in argv:
-            values = [v for v in values if v != "pi"]
-        value = data.draw(st.none() | st.sampled_from(values))
+        value = data.draw(st.none() | FUZZ_VALUE)
         if value is not None:
             argv += [option, value]
+    precision = data.draw(st.none() | FUZZ_PRECISION)
+    env = {} if precision is None else {"LIARSIM_PRECISION": precision}
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
+    shown = [a[:40] for a in argv], (precision or "")[:40]
+    assert code in (0, 1) or (code == 2 and command == "verify"), shown
     if code == 1:
-        assert len(err.getvalue().splitlines()) == 1, argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 200, (shown, len(err.getvalue()))
 
 
 def test_argument_parsers():
@@ -1326,16 +1414,40 @@ def test_argument_parsers():
     assert parse_time_scale("pi") == pytest.approx(3.141592653589793)
     assert parse_time_scale("0.5") == 0.5
     assert parse_sentences("1,3,5") == (1, 3, 5)
-    import argparse
-
+    # an integer that is not in JSON's grammar is passed on as text, for the
+    # sentence check to refuse
+    assert parse_start("+3:F") == ("+3", False)
+    assert parse_sentences("1;2") == ("1;2",)
+    assert parse_sentences("1, 2,03") == (1, " 2", "03")
+    # float's own spelling is read, since the manifest echoes the float
+    assert real_text("1_0") == real_text(" 10 ") == real_text("1e1") == 10.0
     for bad in ("x", "1-2", "1:"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_start(bad)
     for bad in ("pie", "inf", "nan", "0", "-2", "pi/0", "pi/-1"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_time_scale(bad)
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_sentences("1;2")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("0", 0), ("-0", 0), ("7", 7), ("-12", -12), ("9" * 4300, int("9" * 4300)),
+        ("9" * 4301, "9" * 4301), ("012", "012"), ("+5", "+5"), (" 5", " 5"),
+        ("5 ", "5 "), ("1_0", "1_0"), ("١٢", "١٢"), ("5\n", "5\n"), ("", ""),
+        ("-", "-"), ("1.0", "1.0"), ("1e3", "1e3"), ("\x00", "\x00"),
+    ],
+)
+def test_int_text_reads_json_integers_and_passes_other_text_on(text, value):
+    assert int_text(text) == value and type(int_text(text)) is type(value)
+
+
+@pytest.mark.parametrize("text", ["x", "", "\x00", "1,5", "x" * 100_000])
+def test_real_text_refuses_in_one_quoted_line(text):
+    with pytest.raises(argparse.ArgumentTypeError) as failure:
+        real_text(text)
+    message = str(failure.value)
+    assert message == f"expected a real number, got {quote(text)}" and len(message) < 200
 
 
 def test_check_dim_command(capsys):
