@@ -17,7 +17,10 @@ integer grammar becomes an ``int``, and any other text is passed on for the
 slot's ``check_int`` to refuse under the slot's name.  ``--t-max`` and
 ``--dt`` are read by ``real_text``, in ``float``'s own spelling.  Each
 refusal is one line that quotes the text through ``config.quote``, so a
-long value gives a short line.
+long value gives a short line.  So is a first token that is not a command
+word (the command word comes first, unless the first token is ``-h`` or
+``--help``), and so are the tokens no option takes, which argparse would
+echo whole.
 
 Run as the program (``main()`` with no ``argv``), it sets
 ``OPENBLAS_NUM_THREADS=1`` unless the variable is already set, since no
@@ -72,23 +75,37 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse echoes an unknown command word and the tokens no option
+        # takes whole; both are quoted here.  The command word comes first,
+        # unless the first token asks for help.  Only the top parser's
+        # ``parse_args`` runs, and ``build_parser`` gives it its ``commands``.
+        args = sys.argv[1:] if args is None else args
+        if args and args[0] not in (*self.commands, "-h", "--help"):
+            self.error(f"invalid command {quote(args[0])}, choose from {', '.join(self.commands)}")
+        parsed, stray = self.parse_known_args(args, namespace)
+        if stray:
+            self.error(f"unrecognized arguments: {quote(' '.join(stray))}")
+        return parsed
+
 
 def resolve_config(spec: str) -> Configuration:
     """Accept a named configuration, inline JSON, or a JSON file path.
 
     Names: ``one-liar``, ``eight-liar``, ``simple:<m>`` (single negation).
+    Each is recognized only as written, so the manifest, which echoes the
+    spec, names a configuration one way: a padded name is read as a path.
     """
-    text = spec.strip()
-    if text in NAMED_CONFIGS:
-        return NAMED_CONFIGS[text]()
-    if text.startswith("simple:"):
-        return simple_liar(int_text(text.removeprefix("simple:")))
-    if not text.startswith("{"):
+    if spec in NAMED_CONFIGS:
+        return NAMED_CONFIGS[spec]()
+    if spec.startswith("simple:"):
+        return simple_liar(int_text(spec.removeprefix("simple:")))
+    if not spec.startswith("{"):
         with open(spec, encoding="utf-8") as fh:
-            text = fh.read(MAX_CONFIG_BYTES + 1)
-        if len(text) > MAX_CONFIG_BYTES:
+            spec = fh.read(MAX_CONFIG_BYTES + 1)  # the JSON text of the named file
+        if len(spec) > MAX_CONFIG_BYTES:
             raise OutOfRange(f"config file is longer than {MAX_CONFIG_BYTES} characters")
-    return config_from_json(text)
+    return config_from_json(spec)
 
 
 def int_text(text: str) -> int | str:
@@ -301,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate truth-value dynamics of paradoxical liar cycles",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # filled as each command is added
 
     p = sub.add_parser("count", help="count paradoxical configurations of size m")
     p.add_argument("--m", type=int_text, required=True, help="number of sentences")

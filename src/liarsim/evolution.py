@@ -351,21 +351,17 @@ def _trace_kernel(
             f" got {quote(initial_measurement)}"
         ) from None
     sentences = trace_sentences(sentences, m)
-    # the range is tested on the value as given, before ``_real``, and the
-    # message quotes it so: -10**400 is out of range, not too large, and a
-    # positive scale whose float is 0.0, such as Fraction(1, 10**400), is out
-    # of range too
-    if _is_real(time_scale) and not (
-        0 < time_scale < math.inf and _real(time_scale, "time scale")
-    ):
-        raise OutOfRange(f"time scale must be finite and positive, got {quote(time_scale)}")
-    time_scale = _real(time_scale, "time scale")
+    # the range is tested on the float, so a positive scale whose float is
+    # 0.0, such as Fraction(1, 10**400), is out of range; the message quotes
+    # the scale as given
+    if not (scale := _real(time_scale, "time scale")) > 0:
+        raise OutOfRange(f"time scale must be positive, got {quote(time_scale)}")
     check_truth_value(renormalize, "renormalize")
     walk = reasoning_cycle(config)
     origin = walk.step_of(start_sentence, start_value)
     trace_row_count(count, len(sentences))
     # |t| <= t_bound, so every tau is finite when this one is.
-    _real(t_bound / time_scale, "evolution time")
+    _real(t_bound / scale, "evolution time")
     size = 2 * m
     # Displacements of the traced hypotheses: all "true" columns, then all
     # "false" columns.
@@ -377,7 +373,7 @@ def _trace_kernel(
     weight = 1.0 if renormalize else _uniform_amplitude(size) ** 2
 
     def classes(t: np.ndarray) -> np.ndarray:
-        return _time_class(t / time_scale, size)
+        return _time_class(t / scale, size)
 
     def kernel(key: np.ndarray) -> np.ndarray:
         import numpy as np  # on the first call: a validated trace loads it here
@@ -432,22 +428,16 @@ def probability_trace(
 
 def _grid(t_max: float, dt: float) -> tuple[int, float]:
     """``grid_size(t_max, dt)`` and dt as a float (``_real``)."""
-    if not (_is_real(t_max) and _is_real(dt)):
+    span, step = _real(t_max, "t_max"), _real(dt, "dt")
+    # the range is tested on the floats, so a positive dt whose float is 0.0,
+    # such as Fraction(1, 10**400), is out of range; the message quotes the
+    # values as given
+    if not (step > 0 and span >= 0 and math.isfinite(span / step)):
         raise OutOfRange(
-            f"t_max and dt must be real numbers, got t_max={quote(t_max)},"
-            f" dt={quote(dt)}"
+            f"need dt > 0, t_max >= 0 and a finite t_max/dt, got dt={quote(dt)},"
+            f" t_max={quote(t_max)}"
         )
-    # as for the time scale, the range is tested and quoted as given
-    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
-        raise OutOfRange(
-            f"need finite dt > 0 and t_max >= 0, got dt={quote(dt)}, t_max={quote(t_max)}"
-        )
-    span, step = _real(t_max, "t_max and dt"), _real(dt, "t_max and dt")
-    # a positive dt such as Fraction(1, 10**400) is 0.0 as a float
-    steps = span / step if step else math.inf
-    if not math.isfinite(steps):
-        raise OutOfRange(f"t_max/dt must be finite, got t_max={quote(t_max)}, dt={quote(dt)}")
-    return int(math.floor(steps + 1e-9)) + 1, step
+    return int(math.floor(span / step + 1e-9)) + 1, step
 
 
 def grid_size(t_max: float, dt: float) -> int:

@@ -3,10 +3,15 @@
 Each check exercises one structural promise of the model: closure of the
 reasoning cycle, non-degenerate entry occupation, index linearization
 round-trips, the canonical eight-sentence reference data and the bytes of
-the document that ``state`` streams, agreement between discrete stepping
-and the continuous propagator at integer times, the unitary group laws,
+the document that ``state`` streams, the hypothesis indicators at integer
+times (``integer-steps``: ``apply_steps``, ``probability_trace`` and
+``propagate``, which at an integral tau takes the exact ``apply_steps``
+route with no FFT, so that leg checks its dispatch), the unitary group laws,
 time invariance of the unreasoned state, projector completeness, and the
-minimal-dimension audit.
+minimal-dimension audit.  The continuous propagator at integer times is
+checked by ``branch-independence``: exp(t log U_D) in the dense spectral
+frame, at every integer t of a period, against the powers of the step
+matrix.
 
 The eight-sentence ground truth lives in module constants so a corrupted
 copy is observable: the pairing check reads the constants at call time and

@@ -169,6 +169,7 @@ X_QUOTED = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
 TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
 ERR = "liarsim: error: "
 TRACE_ERR = "liarsim trace: error: "
+CHOICES = ", choose from count, state, trace, check-dim, verify"
 
 
 @pytest.mark.parametrize(
@@ -271,12 +272,23 @@ TRACE_ERR = "liarsim trace: error: "
             None,
             ERR + TOO_LONG + X_QUOTED,
         ),
+        (
+            ["x" * 5000],
+            None,
+            ERR + "invalid command " + X_QUOTED + CHOICES,
+        ),
+        (
+            ["count", "--m", "5", "x" * 5000],
+            None,
+            ERR + "unrecognized arguments: " + X_QUOTED,
+        ),
     ],
     ids=[
         "check-dim", "verify", "count", "simple", "simple-not-int", "sentences",
         "start", "start-not-int", "sentences-not-int", "time-scale", "precision",
         "precision-not-int", "check-dim-not-int", "verify-not-int", "count-not-int",
-        "dt-not-real", "t-max-not-real", "config-path", "out-path",
+        "dt-not-real", "t-max-not-real", "config-path", "out-path", "command-word",
+        "stray-token",
     ],
 )
 def test_a_long_value_is_quoted_in_a_short_error_line(argv, precision, message, capsys):
@@ -288,6 +300,52 @@ def test_a_long_value_is_quoted_in_a_short_error_line(argv, precision, message, 
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
     assert len(message) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-5"], "invalid command '-5'" + CHOICES),
+        (["--help=x"], "invalid command '--help=x'" + CHOICES),
+        (["--", "count", "--m", "5"], "invalid command '--'" + CHOICES),
+        (["count", "--m", "5", "a", "b"], "unrecognized arguments: 'a b'"),
+        (["count", "--m", "5", "--bogus"], "unrecognized arguments: '--bogus'"),
+        (["trace", "--config", "one-liar", "--m", "5"], "unrecognized arguments: '--m 5'"),
+    ],
+)
+def test_a_token_that_is_no_command_or_option_is_quoted_in_one_line(argv, message, capsys):
+    # the command word comes first; the stray tokens are quoted as one text
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [ERR + message]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]])
+def test_help_still_comes_first(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: liarsim")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        " simple:3 ",
+        " one-liar",
+        "eight-liar ",
+        ' {"m": 1, "referent": [1], "negating": [true]}',
+    ],
+)
+def test_a_padded_config_spec_is_read_as_a_path(spec, tmp_path, monkeypatch, capsys):
+    # matched as written, so the manifest that echoes the spec names each
+    # configuration one way
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "--config", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{ERR}[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {quote(spec)}"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1394,6 +1452,12 @@ def test_cli_argv_fuzz_ends_in_an_exit_code_never_a_traceback(tmp_path, monkeypa
         value = data.draw(st.none() | FUZZ_VALUE)
         if value is not None:
             argv += [option, value]
+    # now and then a value stands in for the command word, or follows the
+    # options as a stray positional
+    if data.draw(st.integers(0, 4)) == 0:
+        argv[0] = data.draw(FUZZ_VALUE)
+    if data.draw(st.integers(0, 4)) == 0:
+        argv.append(data.draw(FUZZ_VALUE))
     precision = data.draw(st.none() | FUZZ_PRECISION)
     env = {} if precision is None else {"LIARSIM_PRECISION": precision}
     out, err = io.StringIO(), io.StringIO()

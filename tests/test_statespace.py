@@ -346,6 +346,17 @@ def test_state_reader_rejects_malformed_documents(doc):
         state_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [(5, "5"), ("ab", "'ab'"), ({"a": 1}, "{'a': 1}")],
+    ids=["int", "str", "object"],
+)
+def test_a_tuple_that_is_not_a_list_is_one_line(value, shown):
+    with pytest.raises(OutOfRange) as failure:
+        state_from_json(json.dumps(_state_term(tuple=value)))
+    assert str(failure.value) == f"malformed state document: tuple {shown} is not a list"
+
+
 def test_state_reader_checks_every_length_before_any_rank():
     # kappa of a tuple of k entries takes time quadratic in k, so SparseState
     # checks every term's length first, even one after a term whose rank is
